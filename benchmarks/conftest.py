@@ -88,6 +88,12 @@ def sift_trajectory() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="session")
+def solver_trajectory() -> dict[str, dict]:
+    """Mutable dict the server pose-solve benchmark fills with rows."""
+    return _TRAJECTORIES.setdefault("BENCH_solver.json", {})
+
+
+@pytest.fixture(scope="session")
 def loadgen_trajectory() -> dict[str, dict]:
     """Mutable dict the fleet load-test benchmarks fill with rows."""
     return _TRAJECTORIES.setdefault("BENCH_loadgen.json", {})

@@ -14,13 +14,17 @@ rotation-invariant, so position solves without knowing orientation.
 
 Following the paper we solve with "a time-bounded differential
 evolution" (bounded by the venue extents), then polish with robust least
-squares.  Orientation is recovered afterwards by Kabsch alignment of the
+squares.  The evolution is scipy's default best1bin scheme written over
+the whole population at once, so each generation costs one broadcast
+residual pass instead of one Python objective call per member.
+Orientation is recovered afterwards by Kabsch alignment of the
 camera-frame ray directions with the world-frame directions to the
 matched points — yielding the full 6-DoF pose.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,10 @@ from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.pose import Pose
 
 __all__ = ["AngularLocalizer", "LocalizationProblem", "LocalizationSolution"]
+
+# scipy's differential_evolution defaults, which this solver reproduces.
+_CROSSOVER = 0.7
+_SPREAD_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,42 @@ def _ray_directions(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndar
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
+def _angular_residuals(
+    world_points: np.ndarray, rays: np.ndarray, pairs: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-pair angle residuals as a function of ``(..., 3)`` camera positions.
+
+    A single position gives ``(num_pairs,)`` residuals (the polish); a
+    ``(members, 3)`` population gives ``(members, num_pairs)`` in one pass.
+    """
+    # Perceived angle per pair: pose-free, from pixels alone.
+    cos_perceived = np.clip((rays[pairs[:, 0]] * rays[pairs[:, 1]]).sum(1), -1, 1)
+    perceived = np.arccos(cos_perceived)
+    # Coordinates on the leading axis: sums over x/y/z become row adds.
+    points_i = np.ascontiguousarray(world_points[pairs[:, 0]].T)
+    points_j = np.ascontiguousarray(world_points[pairs[:, 1]].T)
+
+    def residuals(positions: np.ndarray) -> np.ndarray:
+        at = np.asarray(positions)[..., :, None]
+        to_i = points_i - at
+        to_j = points_j - at
+        norm_i = np.sqrt((to_i * to_i).sum(-2))
+        norm_j = np.sqrt((to_j * to_j).sum(-2))
+        safe = np.maximum(norm_i * norm_j, 1e-9)
+        cos_geometric = np.clip((to_i * to_j).sum(-2) / safe, -1.0, 1.0)
+        return np.arccos(cos_geometric) - perceived
+
+    return residuals
+
+
+def _soft_l1_energy(residuals: np.ndarray) -> np.ndarray:
+    """Soft-L1 cost summed over the last axis.
+
+    Soft-L1 keeps stray wrong matches from dominating the basin.
+    """
+    return np.sum(2.0 * (np.sqrt(1.0 + residuals**2) - 1.0), axis=-1)
+
+
 class AngularLocalizer:
     """Solves :class:`LocalizationProblem` instances."""
 
@@ -89,10 +133,7 @@ class AngularLocalizer:
 
     def _select_pairs(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Keypoint index pairs (i < j), subsampled to the pair budget."""
-        pairs = np.array(
-            [(i, j) for i in range(count) for j in range(i + 1, count)],
-            dtype=np.int64,
-        )
+        pairs = np.column_stack(np.triu_indices(count, 1))
         if pairs.shape[0] > self.max_pairs:
             chosen = rng.choice(pairs.shape[0], size=self.max_pairs, replace=False)
             pairs = pairs[np.sort(chosen)]
@@ -111,39 +152,13 @@ class AngularLocalizer:
         rng = np.random.default_rng(self.seed)
         pairs = self._select_pairs(problem.num_points, rng)
         rays = _ray_directions(problem.pixels, problem.intrinsics)
-        # Perceived angle per pair — pose-free, from pixels alone.
-        cos_perceived = np.clip((rays[pairs[:, 0]] * rays[pairs[:, 1]]).sum(1), -1, 1)
-        perceived = np.arccos(cos_perceived)
-        points_i = problem.world_points[pairs[:, 0]]
-        points_j = problem.world_points[pairs[:, 1]]
-
-        def residuals(position: np.ndarray) -> np.ndarray:
-            to_i = points_i - position
-            to_j = points_j - position
-            norm_i = np.linalg.norm(to_i, axis=1)
-            norm_j = np.linalg.norm(to_j, axis=1)
-            safe = np.maximum(norm_i * norm_j, 1e-9)
-            cos_geometric = np.clip((to_i * to_j).sum(1) / safe, -1.0, 1.0)
-            return np.arccos(cos_geometric) - perceived
-
-        def objective(position: np.ndarray) -> float:
-            r = residuals(position)
-            # Soft-L1 keeps stray wrong matches from dominating the basin.
-            return float(np.sum(2.0 * (np.sqrt(1.0 + r**2) - 1.0)))
-
-        de_bounds = list(zip(problem.bounds_low, problem.bounds_high))
-        de_result = optimize.differential_evolution(
-            objective,
-            bounds=de_bounds,
-            maxiter=self.de_max_iterations,
-            popsize=self.de_population,
-            tol=1e-6,
-            seed=self.seed,
-            polish=False,
+        residuals = _angular_residuals(problem.world_points, rays, pairs)
+        start, spread_stop = self._evolve(
+            residuals, problem.bounds_low, problem.bounds_high, rng
         )
         polish = optimize.least_squares(
             residuals,
-            de_result.x,
+            start,
             loss="soft_l1",
             bounds=(problem.bounds_low, problem.bounds_high),
             max_nfev=200,
@@ -157,8 +172,52 @@ class AngularLocalizer:
             pose=pose,
             residual=rms,
             num_pairs=int(pairs.shape[0]),
-            converged=bool(de_result.success or polish.success),
+            converged=bool(spread_stop or polish.success),
         )
+
+    def _evolve(
+        self,
+        residuals: Callable[[np.ndarray], np.ndarray],
+        low: np.ndarray,
+        high: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, bool]:
+        """Bounded best1bin differential evolution over the whole population.
+
+        Members live in the unit cube and every generation is scored in
+        one broadcast ``residuals`` pass.  Returns the best position and
+        whether the population's energy spread fell below tolerance
+        (False when the generation budget ran out first).
+        """
+        span = high - low
+        size = self.de_population * low.size
+        members = np.arange(size)
+        # Latin hypercube: one member per stratum on each axis.
+        strata = (members[:, None] + rng.uniform(size=(size, low.size))) / size
+        unit = rng.permuted(strata, axis=0)
+        energy = _soft_l1_energy(residuals(low + unit * span))
+        for _ in range(self.de_max_iterations):
+            # Two distinct donors per member, neither the member itself.
+            first = rng.integers(1, size, size)
+            second = rng.integers(1, size - 1, size)
+            second += second >= first
+            donor_a, donor_b = (members + first) % size, (members + second) % size
+            scale = rng.uniform(0.5, 1.0)  # dithered once per generation
+            mutant = unit[np.argmin(energy)] + scale * (unit[donor_a] - unit[donor_b])
+            cross = rng.uniform(size=unit.shape) < _CROSSOVER
+            cross[members, rng.integers(0, low.size, size)] = True
+            trial = np.where(cross, mutant, unit)
+            # Out-of-box coordinates are re-drawn uniformly, never clipped:
+            # clipping piles trials onto the box faces and biases the search.
+            outside = (trial < 0.0) | (trial > 1.0)
+            trial[outside] = rng.uniform(size=np.count_nonzero(outside))
+            trial_energy = _soft_l1_energy(residuals(low + trial * span))
+            accept = trial_energy <= energy
+            unit[accept] = trial[accept]
+            energy[accept] = trial_energy[accept]
+            if np.std(energy) <= _SPREAD_TOLERANCE * abs(np.mean(energy)):
+                return low + unit[np.argmin(energy)] * span, True
+        return low + unit[np.argmin(energy)] * span, False
 
     @staticmethod
     def _recover_orientation(

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.geometry import CameraIntrinsics, PinholeCamera, Pose
+from repro.geometry import CameraIntrinsics, Pose
 from repro.localization import (
     AngularLocalizer,
     LocalizationProblem,
@@ -13,6 +17,18 @@ from repro.localization import (
     error_by_axis,
     largest_cluster,
     localization_errors,
+)
+from repro.localization.solver import (
+    _angular_residuals,
+    _ray_directions,
+    _soft_l1_energy,
+)
+from tests.reference.solver_scipy_de import (
+    make_problem,
+    scalar_objective,
+    seeded_problems,
+    select_pairs_listcomp,
+    solve_scipy_de,
 )
 
 
@@ -49,49 +65,26 @@ class TestDbscan:
             dbscan_labels(np.zeros((3, 3)), eps=0.0)
 
 
-def _make_problem(true_pose, num_points, rng, pixel_noise=0.5):
-    """Project known landmarks through a camera and build the problem."""
-    intrinsics = CameraIntrinsics()
-    camera = PinholeCamera(intrinsics, true_pose)
-    camera_points = np.column_stack(
-        [
-            rng.uniform(3, 9, num_points),
-            rng.uniform(-2, 2, num_points),
-            rng.uniform(-1, 1, num_points),
-        ]
-    )
-    world = camera.pose.to_world(camera_points)
-    pixels, visible = camera.project(world)
-    pixels = pixels[visible] + rng.normal(0, pixel_noise, (visible.sum(), 2))
-    return LocalizationProblem(
-        pixels=pixels,
-        world_points=world[visible],
-        intrinsics=intrinsics,
-        bounds_low=np.array([0.0, 0.0, 0.0]),
-        bounds_high=np.array([20.0, 20.0, 3.0]),
-    )
-
-
 class TestAngularLocalizer:
     def test_recovers_camera_position(self, rng):
         true_pose = Pose(x=8.0, y=6.0, z=1.5, yaw=0.7)
-        problem = _make_problem(true_pose, 25, rng)
+        problem = make_problem(true_pose, 25, rng)
         solution = AngularLocalizer(seed=1).solve(problem)
         assert solution.pose.position_error(true_pose) < 1.0
 
     def test_recovers_orientation(self, rng):
         true_pose = Pose(x=8.0, y=6.0, z=1.5, yaw=0.7)
-        problem = _make_problem(true_pose, 25, rng, pixel_noise=0.1)
+        problem = make_problem(true_pose, 25, rng, pixel_noise=0.1)
         solution = AngularLocalizer(seed=1).solve(problem)
         assert abs(solution.pose.yaw - true_pose.yaw) < 0.15
 
     def test_degrades_gracefully_with_noise(self, rng):
         true_pose = Pose(x=10.0, y=10.0, z=1.5, yaw=-0.4)
         quiet = AngularLocalizer(seed=2).solve(
-            _make_problem(true_pose, 25, rng, pixel_noise=0.1)
+            make_problem(true_pose, 25, rng, pixel_noise=0.1)
         )
         noisy = AngularLocalizer(seed=2).solve(
-            _make_problem(true_pose, 25, rng, pixel_noise=4.0)
+            make_problem(true_pose, 25, rng, pixel_noise=4.0)
         )
         assert quiet.residual <= noisy.residual + 0.05
 
@@ -107,8 +100,12 @@ class TestAngularLocalizer:
         assert not solution.converged
         assert solution.pose.x == pytest.approx(5.0)
 
+    def test_converges_on_a_normal_problem(self, rng):
+        problem = make_problem(Pose(x=8.0, y=6.0, z=1.5, yaw=0.7), 25, rng)
+        assert AngularLocalizer(seed=1).solve(problem).converged
+
     def test_pair_budget(self, rng):
-        problem = _make_problem(Pose(x=5, y=5, z=1.5), 30, rng)
+        problem = make_problem(Pose(x=5, y=5, z=1.5), 30, rng)
         solution = AngularLocalizer(max_pairs=40, seed=0).solve(problem)
         assert solution.num_pairs <= 40
 
@@ -121,6 +118,86 @@ class TestAngularLocalizer:
                 bounds_low=np.zeros(3),
                 bounds_high=np.ones(3),
             )
+
+
+class TestPairSelection:
+    def test_matches_list_comprehension(self):
+        localizer = AngularLocalizer(max_pairs=10**6)
+        rng = np.random.default_rng(0)
+        for count in range(3, 120):
+            np.testing.assert_array_equal(
+                localizer._select_pairs(count, rng),
+                select_pairs_listcomp(10**6, count, rng),
+            )
+
+    @pytest.mark.parametrize("count", [14, 30, 58, 119])
+    def test_subsampled_matches_under_same_seed(self, count):
+        localizer = AngularLocalizer(max_pairs=80)
+        ours = localizer._select_pairs(count, np.random.default_rng(11))
+        theirs = select_pairs_listcomp(80, count, np.random.default_rng(11))
+        assert ours.shape == (80, 2)
+        np.testing.assert_array_equal(ours, theirs)
+
+
+class TestScipyDeParity:
+    """The numpy evolution against the scipy solve it replaced."""
+
+    def test_population_energy_matches_scalar_objective(self):
+        rng = np.random.default_rng(3)
+        problem = make_problem(Pose(x=9.0, y=7.0, z=1.5, yaw=1.1), 25, rng)
+        pairs = AngularLocalizer()._select_pairs(problem.num_points, rng)
+        rays = _ray_directions(problem.pixels, problem.intrinsics)
+        residuals = _angular_residuals(problem.world_points, rays, pairs)
+        population = rng.uniform(problem.bounds_low, problem.bounds_high, (60, 3))
+        scalar_residuals, objective = scalar_objective(problem, pairs)
+
+        energy = _soft_l1_energy(residuals(population))
+        expected = [objective(member) for member in population]
+        np.testing.assert_allclose(energy, expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            residuals(population[0]), scalar_residuals(population[0]), rtol=1e-12
+        )
+
+    def test_clean_problems_match_reference(self):
+        localizer = AngularLocalizer(seed=0)
+        for problem, _ in seeded_problems(40, 25):
+            ours = localizer.solve(problem).pose.position
+            theirs = solve_scipy_de(localizer, problem).pose.position
+            assert np.linalg.norm(ours - theirs) < 0.01
+
+    def test_wrong_correspondences_no_worse_than_reference(self):
+        localizer = AngularLocalizer(seed=0)
+        ours, theirs = [], []
+        for problem, truth in seeded_problems(30, 15, wrong=3):
+            ours.append(localizer.solve(problem).pose.position_error(truth))
+            theirs.append(
+                solve_scipy_de(localizer, problem).pose.position_error(truth)
+            )
+        assert np.median(ours) <= 1.1 * np.median(theirs)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        low=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+        size=st.tuples(*[st.floats(0.5, 30.0)] * 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_position_inside_random_box(self, seed, low, size):
+        rng = np.random.default_rng(seed)
+        pose = Pose(x=8.0, y=6.0, z=1.5, yaw=float(rng.uniform(-np.pi, np.pi)))
+        low = np.array(low)
+        high = low + np.array(size)
+        problem = dataclasses.replace(
+            make_problem(pose, 12, rng), bounds_low=low, bounds_high=high
+        )
+        position = AngularLocalizer(seed=seed).solve(problem).pose.position
+        assert np.all(position >= low) and np.all(position <= high)
+
+    def test_same_seed_is_bit_identical(self):
+        (problem, _), = seeded_problems(1, 20, wrong=2)
+        first = AngularLocalizer(seed=4).solve(problem)
+        second = AngularLocalizer(seed=4).solve(problem)
+        assert first == second
+        assert first.pose.position.tobytes() == second.pose.position.tobytes()
 
 
 class TestMetrics:
