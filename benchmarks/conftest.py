@@ -94,6 +94,12 @@ def solver_trajectory() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="session")
+def lsh_trajectory() -> dict[str, dict]:
+    """Mutable dict the server LSH lookup benchmark fills with rows."""
+    return _TRAJECTORIES.setdefault("BENCH_lsh.json", {})
+
+
+@pytest.fixture(scope="session")
 def loadgen_trajectory() -> dict[str, dict]:
     """Mutable dict the fleet load-test benchmarks fill with rows."""
     return _TRAJECTORIES.setdefault("BENCH_loadgen.json", {})

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.murmur3 import murmur3_32_vectors
+from repro.hashing.murmur3 import murmur3_32_vectors_multiseed
 
 __all__ = ["QuantizedBuckets"]
 
 _BUCKET_BIAS = np.int64(1 << 20)
+
+
+def _bucket_keys(vectors: np.ndarray, seed: int) -> np.ndarray:
+    """64-bit keys of ``(n, M)`` uint32 vectors: Murmur-3 low and high words."""
+    low, high = murmur3_32_vectors_multiseed(vectors, np.array([seed, seed + 1]))
+    return (high.astype(np.uint64) << np.uint64(32)) | low.astype(np.uint64)
 
 
 class QuantizedBuckets:
@@ -58,12 +64,7 @@ class QuantizedBuckets:
         collisions are possible but harmless: index candidates are always
         re-verified with exact Euclidean distances.
         """
-        vectors = self.table_vectors(table)
-        low = murmur3_32_vectors(vectors, seed=seed_base + 2 * table).astype(np.uint64)
-        high = murmur3_32_vectors(vectors, seed=seed_base + 2 * table + 1).astype(
-            np.uint64
-        )
-        return (high << np.uint64(32)) | low
+        return _bucket_keys(self.table_vectors(table), seed_base + 2 * table)
 
     def perturbed(self, table: int, projection: int, delta: int) -> np.ndarray:
         """One-cell perturbation of a single coordinate (multiprobe)."""
@@ -90,3 +91,12 @@ class QuantizedBuckets:
             slots = np.arange(1, num_probes + 1)[np.newaxis, :]
             probes[rows, slots, projections] += deltas
         return (probes + _BUCKET_BIAS).astype(np.uint32)
+
+    def probe_keys(
+        self, table: int, projections: np.ndarray, deltas: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`table_keys` of every :meth:`probe_vectors` slot, ``(n, P + 1)``."""
+        probes = self.probe_vectors(table, projections, deltas)
+        num_items, num_slots, num_projections = probes.shape
+        flat = probes.reshape(num_items * num_slots, num_projections)
+        return _bucket_keys(flat, 2 * table).reshape(num_items, num_slots)

@@ -20,10 +20,56 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lsh.buckets import QuantizedBuckets
+from repro.lsh.multiprobe import ranked_perturbations
 from repro.lsh.projections import E2LSHParams, StableProjections
 from repro.util.validation import check_positive
 
 __all__ = ["LshIndex", "LshMatch"]
+
+#: Relative slack added to the float32 screening margin; it covers the
+#: float64 rounding of the Gram terms and of the exact re-rank with
+#: orders of magnitude to spare.
+_F64_SLACK = 1e-9
+#: Shortlisted pairs re-ranked per float64 chunk (about 1 MB each).
+_RECHECK_CHUNK = 1024
+#: Candidate rows of a probe whose bucket is empty.
+_NO_ROWS = np.empty(0, dtype=np.int32)
+
+
+def _screen_margin(norms: np.ndarray, dimension: int) -> np.ndarray:
+    """Bound on ``|float32 Gram d^2 - d^2|`` given ``norms = |x|^2 + |q|^2``.
+
+    ``gamma_D = D u / (1 - D u)`` with ``u = 2^-24`` bounds the rounding
+    of a D-term float32 dot product under any summation order; the
+    additive term covers products that underflow (flushed to zero or not).
+    """
+    units = dimension * 2.0**-24
+    gamma = units / (1.0 - units)
+    underflow = 2.0 * dimension * float(np.finfo(np.float32).tiny)
+    return (gamma + _F64_SLACK) * norms + underflow
+
+
+def _kth_smallest_per_query(
+    values: np.ndarray, queries: np.ndarray, starts: np.ndarray, k: int
+) -> np.ndarray:
+    """An upper bound on each query's k-th smallest value; +inf below k values.
+
+    ``values`` are non-negative (or NaN) and grouped by ``queries``, with
+    query ``i``'s values at ``starts[i]:starts[i + 1]``.  Rounding each
+    up to float32 never lowers the k-th smallest, and the bit pattern of
+    a non-negative float32 orders like the float, so one int64 sort of
+    ``query << 32 | bits`` ranks every query's values at once.
+    """
+    with np.errstate(over="ignore"):
+        rounded = (np.maximum(values, 0.0) * (1.0 + 2.0**-22)).astype(np.float32)
+    keys = (queries << 32) | rounded.view(np.uint32).astype(np.int64)
+    keys.sort()
+    counts = np.diff(starts)
+    threshold = np.full(counts.size, np.inf)
+    full = counts >= k
+    kth_bits = keys[starts[:-1][full] + k - 1] & 0xFFFFFFFF
+    threshold[full] = kth_bits.astype(np.uint32).view(np.float32)
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -62,21 +108,12 @@ class LshIndex:
         # Amortized-growth row storage: descriptors/ids live in
         # capacity-doubling arrays so :meth:`insert` appends in O(batch)
         # instead of re-copying (and re-hashing) all history per batch.
+        # Squared row norms (float64) feed the float32 Gram screen of
+        # :meth:`query_batch`.
         self._store: np.ndarray | None = None
         self._ids_store: np.ndarray | None = None
+        self._norms_store: np.ndarray | None = None
         self._size = 0
-
-    @property
-    def _descriptors(self) -> np.ndarray | None:
-        if self._store is None or self._size == 0:
-            return None
-        return self._store[: self._size]
-
-    @property
-    def _item_ids(self) -> np.ndarray | None:
-        if self._ids_store is None or self._size == 0:
-            return None
-        return self._ids_store[: self._size]
 
     @property
     def size(self) -> int:
@@ -88,6 +125,7 @@ class LshIndex:
         self._tables = [{} for _ in range(self.params.num_tables)]
         self._store = None
         self._ids_store = None
+        self._norms_store = None
         self._size = 0
         self.insert(descriptors, item_ids)
 
@@ -97,6 +135,7 @@ class LshIndex:
             capacity = max(needed, 1024)
             self._store = np.empty((capacity, dimension), dtype=np.float32)
             self._ids_store = np.empty(capacity, dtype=np.int64)
+            self._norms_store = np.empty(capacity, dtype=np.float64)
             return
         if self._store.shape[1] != dimension:
             raise ValueError(
@@ -112,6 +151,9 @@ class LshIndex:
         grown_ids = np.empty(capacity, dtype=np.int64)
         grown_ids[: self._size] = self._ids_store[: self._size]
         self._ids_store = grown_ids
+        grown_norms = np.empty(capacity, dtype=np.float64)
+        grown_norms[: self._size] = self._norms_store[: self._size]
+        self._norms_store = grown_norms
 
     def insert(self, descriptors: np.ndarray, item_ids: np.ndarray) -> None:
         """Append descriptors incrementally — only the new batch is hashed.
@@ -139,6 +181,9 @@ class LshIndex:
         self._grow_storage(num_new, descriptors.shape[1])
         self._store[start_row : start_row + num_new] = descriptors
         self._ids_store[start_row : start_row + num_new] = item_ids
+        self._norms_store[start_row : start_row + num_new] = (
+            descriptors.astype(np.float64) ** 2
+        ).sum(axis=1)
         self._size += num_new
 
         quantized = QuantizedBuckets(self.projections.quantize(descriptors))
@@ -162,60 +207,6 @@ class LshIndex:
                         [existing, rows[: cap - existing.size]]
                     )
 
-    def _candidate_rows_batch(self, descriptors: np.ndarray) -> list[np.ndarray]:
-        """Candidate row sets for ``(n, d)`` query descriptors at once.
-
-        All hashing (original buckets plus multiprobe perturbations) is
-        vectorized across queries; only the final dictionary lookups run
-        per query.
-        """
-        from repro.hashing.murmur3 import murmur3_32_vectors
-
-        buckets, residuals = self.projections.quantize_with_residuals(descriptors)
-        num_queries = buckets.shape[0]
-        per_query: list[list[np.ndarray]] = [[] for _ in range(num_queries)]
-        bias = np.int64(1 << 20)
-
-        for table in range(self.params.num_tables):
-            table_buckets = buckets[:, table, :]  # (n, M)
-            table_residuals = residuals[:, table, :]
-            probe_vectors = [table_buckets]
-            if self.max_probes_per_table > 0:
-                # Rank boundary distances per query: residual r means the
-                # lower neighbor is r away, the upper 1 - r.
-                boundary = np.concatenate(
-                    [table_residuals, 1.0 - table_residuals], axis=1
-                )  # (n, 2M): first M = delta -1, last M = delta +1
-                ranked = np.argsort(boundary, axis=1)[:, : self.max_probes_per_table]
-                for probe_rank in range(ranked.shape[1]):
-                    choice = ranked[:, probe_rank]
-                    projection = choice % self.params.num_projections
-                    delta = np.where(
-                        choice < self.params.num_projections, -1, 1
-                    ).astype(np.int64)
-                    perturbed = table_buckets.copy()
-                    perturbed[np.arange(num_queries), projection] += delta
-                    probe_vectors.append(perturbed)
-            table_map = self._tables[table]
-            for probe in probe_vectors:
-                unsigned = (probe + bias).astype(np.uint32)
-                low = murmur3_32_vectors(unsigned, seed=2 * table).astype(np.uint64)
-                high = murmur3_32_vectors(unsigned, seed=2 * table + 1).astype(
-                    np.uint64
-                )
-                keys = (high << np.uint64(32)) | low
-                for query_index, key in enumerate(keys):
-                    rows = table_map.get(int(key))
-                    if rows is not None:
-                        per_query[query_index].append(rows)
-        return [
-            np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.int32)
-            for rows in per_query
-        ]
-
-    def _candidate_rows(self, descriptor: np.ndarray) -> np.ndarray:
-        return self._candidate_rows_batch(descriptor.reshape(1, -1))[0]
-
     def query(self, descriptor: np.ndarray, num_neighbors: int = 1) -> list[LshMatch]:
         """Approximate nearest neighbors of one descriptor.
 
@@ -223,60 +214,140 @@ class LshIndex:
         may return fewer (or none) when no bucket holds candidates — the
         defining failure mode E2LSH trades for speed.
         """
-        check_positive("num_neighbors", num_neighbors)
-        if self._descriptors is None or self._item_ids is None:
-            raise RuntimeError("index is empty; call build() first")
         descriptor = np.asarray(descriptor, dtype=np.float32).reshape(1, -1)
-        rows = self._candidate_rows(descriptor)
-        if rows.size == 0:
-            return []
-        deltas = self._descriptors[rows] - descriptor
-        distances = np.sqrt((deltas.astype(np.float64) ** 2).sum(axis=1))
-        order = np.argsort(distances)[:num_neighbors]
-        return [
-            LshMatch(item_id=int(self._item_ids[rows[i]]), distance=float(distances[i]))
-            for i in order
-        ]
+        return self.query_batch(descriptor, num_neighbors)[0]
 
     def query_batch(
         self, descriptors: np.ndarray, num_neighbors: int = 1
     ) -> list[list[LshMatch]]:
-        """Query many descriptors; one (possibly empty) match list per row."""
+        """Query many descriptors; one (possibly empty) match list per row.
+
+        Each list holds up to ``num_neighbors`` candidates ordered by
+        (exact distance, database row), so the earliest-inserted row wins
+        a tie.  The whole batch is looked up at once: every probe of every
+        descriptor is hashed in one pass per table, a float32 Gram screen
+        keeps only the candidate pairs that can reach a descriptor's top
+        ``num_neighbors``, and those are re-ranked with exact float64
+        distances (see :meth:`_shortlist`).
+        """
         check_positive("num_neighbors", num_neighbors)
-        if self._descriptors is None or self._item_ids is None:
+        if self._size == 0:
             raise RuntimeError("index is empty; call build() first")
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        candidate_sets = self._candidate_rows_batch(descriptors)
-        results: list[list[LshMatch]] = []
-        for query, rows in zip(descriptors, candidate_sets):
-            if rows.size == 0:
-                results.append([])
-                continue
-            deltas = self._descriptors[rows].astype(np.float64) - query.astype(
-                np.float64
-            )
-            distances = np.sqrt((deltas**2).sum(axis=1))
-            order = np.argsort(distances)[:num_neighbors]
-            results.append(
-                [
-                    LshMatch(
-                        item_id=int(self._item_ids[rows[i]]),
-                        distance=float(distances[i]),
-                    )
-                    for i in order
-                ]
-            )
+        queries, rows = self._candidate_pairs(descriptors)
+        keep = self._shortlist(descriptors, queries, rows, num_neighbors)
+        queries, rows = queries[keep], rows[keep]
+
+        # Exact float64 re-rank: the returned distances are this
+        # expression's, bit for bit, whichever pairs the screen kept.
+        # Chunked so scratch stays bounded when near-ties keep many pairs.
+        distances = np.empty(rows.size, dtype=np.float64)
+        for start in range(0, rows.size, _RECHECK_CHUNK):
+            part = slice(start, start + _RECHECK_CHUNK)
+            deltas = self._store[rows[part]].astype(np.float64) - descriptors[
+                queries[part]
+            ].astype(np.float64)
+            distances[part] = np.sqrt((deltas**2).sum(axis=1))
+        order = np.lexsort((rows, distances, queries))
+        item_ids = self._ids_store[rows]
+        results: list[list[LshMatch]] = [[] for _ in range(descriptors.shape[0])]
+        for query, item_id, distance in zip(
+            queries[order].tolist(), item_ids[order].tolist(), distances[order].tolist()
+        ):
+            matches = results[query]
+            if len(matches) < num_neighbors:
+                matches.append(LshMatch(item_id=item_id, distance=distance))
         return results
 
+    def _candidate_pairs(
+        self, descriptors: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct ``(query, row)`` candidate pairs, sorted by query then row.
+
+        Per table, the multiprobe schedule of the whole batch is ranked
+        and every probe hashed in one pass (the same helpers the oracle
+        uses); only the bucket dictionary lookups run per probe.
+        """
+        buckets, residuals = self.projections.quantize_with_residuals(descriptors)
+        quantized = QuantizedBuckets(buckets)
+        found: list[np.ndarray] = []
+        for table, table_map in enumerate(self._tables):
+            projections, deltas = ranked_perturbations(
+                residuals[:, table, :], self.max_probes_per_table
+            )
+            keys = quantized.probe_keys(table, projections, deltas)
+            found.extend(table_map.get(key, _NO_ROWS) for key in keys.ravel().tolist())
+        # ``found`` is (table, query, probe)-ordered, one entry per probe.
+        probes_per_query = keys.shape[1]
+        owners = np.tile(
+            np.repeat(np.arange(descriptors.shape[0]), probes_per_query),
+            len(self._tables),
+        )
+        lengths = np.fromiter(map(len, found), np.int64, len(found))
+        if not lengths.any():
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        queries = np.repeat(owners, lengths)
+        codes = np.sort(queries * self._size + np.concatenate(found))
+        distinct = np.empty(codes.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+        return np.divmod(codes[distinct], self._size)
+
+    def _shortlist(
+        self,
+        descriptors: np.ndarray,
+        queries: np.ndarray,
+        rows: np.ndarray,
+        num_neighbors: int,
+    ) -> np.ndarray:
+        """Mask of the pairs that can be among a query's exact top ``num_neighbors``.
+
+        A float32 Gram distance ``|x|^2 + |q|^2 - 2 x.q`` is off from the
+        true squared distance by at most ``gamma_D (|x|^2 + |q|^2)``:
+        any float32 dot of D terms errs by at most ``gamma_D sum|x_j q_j|``
+        whatever the summation order (so whatever BLAS does), and
+        ``sum|x_j q_j| <= (|x|^2 + |q|^2) / 2``.  A pair whose lower
+        bound exceeds the query's k-th smallest upper bound is strictly
+        farther than k other candidates, so dropping it cannot change the
+        exact top k; the slack on the margin keeps that strict after the
+        float64 re-rank rounds.  Pairs are ``(query, row)``-sorted, so
+        each query's dots are one gather and one BLAS matrix-vector call.
+        """
+        if rows.size == 0:
+            return np.ones(0, dtype=bool)
+        starts = np.searchsorted(queries, np.arange(descriptors.shape[0] + 1))
+        dots = np.empty(rows.size, dtype=np.float32)
+        for query in np.flatnonzero(np.diff(starts)):
+            part = slice(starts[query], starts[query + 1])
+            np.matmul(
+                np.take(self._store, rows[part], axis=0),
+                descriptors[query],
+                out=dots[part],
+            )
+        query_norms = (descriptors.astype(np.float64) ** 2).sum(axis=1)
+        norms = self._norms_store[rows] + query_norms[queries]
+        approx = norms - 2.0 * dots
+        margin = _screen_margin(norms, descriptors.shape[1])
+        threshold = _kth_smallest_per_query(
+            approx + margin, queries, starts, num_neighbors
+        )
+        # Negated so a NaN bound keeps its pair for the exact re-rank.
+        return ~(approx - margin > threshold[queries])
+
     def memory_bytes(self) -> int:
-        """In-memory footprint: descriptors + L-fold bucket references."""
-        total = 0
-        if self._descriptors is not None:
-            total += self._descriptors.nbytes
-        if self._item_ids is not None:
-            total += self._item_ids.nbytes
+        """In-memory footprint: rows + L-fold bucket references.
+
+        Each row costs its float32 descriptor, an 8-byte payload id and
+        the 8-byte squared norm cached for the query screen.
+        """
+        total = sum(
+            store[: self._size].nbytes
+            for store in (self._store, self._ids_store, self._norms_store)
+            if store is not None
+        )
         for table_map in self._tables:
             # dict overhead approximated by key + pointer per entry.
             total += len(table_map) * 16

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 from repro.lsh import (
     E2LSHParams,
     LshIndex,
+    LshMatch,
     QuantizedBuckets,
     StableProjections,
     perturbation_sets,
+)
+from repro.lsh.index import _kth_smallest_per_query
+from tests.reference.lsh_query_reference import (
+    candidate_rows_reference,
+    query_batch_reference,
 )
 
 
@@ -117,12 +123,17 @@ class TestMultiprobe:
         assert len(perturbation_sets(residuals, 2 * m + 5)) == 2 * m
 
 
+@pytest.fixture(scope="module")
+def index_1k(descriptors_1k):
+    idx = LshIndex(E2LSHParams(), seed=1)
+    idx.build(descriptors_1k, np.arange(1000))
+    return idx
+
+
 class TestLshIndex:
     @pytest.fixture(scope="class")
-    def index(self, descriptors_1k):
-        idx = LshIndex(E2LSHParams(), seed=1)
-        idx.build(descriptors_1k, np.arange(1000))
-        return idx
+    def index(self, index_1k):
+        return index_1k
 
     def test_exact_self_query(self, index, descriptors_1k):
         matches = index.query(descriptors_1k[42], num_neighbors=1)
@@ -170,3 +181,181 @@ class TestLshIndex:
         idx.build(descriptors_1k, ids)
         matches = idx.query(descriptors_1k[10])
         assert matches[0].item_id == 70
+
+
+def _noisy_queries(database: np.ndarray, count: int, sigma: float, seed: int):
+    """Float queries near database rows, the way re-sighted keypoints are."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(database.shape[0], size=count, replace=False)
+    noisy = database[rows] + rng.normal(0.0, sigma, (count, database.shape[1]))
+    return np.clip(noisy, 0, 255).astype(np.float32)
+
+
+def _brute_force_topk(index, queries, num_neighbors):
+    """Exact top-k by (distance, row) over the reference candidate sets."""
+    stored = index._store[: index.size]
+    ids = index._ids_store[: index.size]
+    results = []
+    for query, rows in zip(queries, candidate_rows_reference(index, queries)):
+        deltas = stored[rows].astype(np.float64) - query.astype(np.float64)
+        distances = np.sqrt((deltas**2).sum(axis=1))
+        order = np.lexsort((rows, distances))[:num_neighbors]
+        results.append(
+            [LshMatch(int(ids[rows[i]]), float(distances[i])) for i in order]
+        )
+    return results
+
+
+class TestBatchedLookup:
+    """The whole-batch lookup against the per-descriptor reference."""
+
+    @pytest.fixture(scope="class")
+    def database(self, descriptors_1k):
+        # Near-duplicate rows (repeated motifs) give ties and near-ties.
+        rng = np.random.default_rng(11)
+        repeats = descriptors_1k[rng.integers(0, 1000, 200)]
+        jittered = np.clip(repeats + rng.normal(0, 0.01, repeats.shape), 0, 255)
+        return np.vstack([descriptors_1k, repeats, jittered]).astype(np.float32)
+
+    @pytest.mark.parametrize("probes", [0, 1, 2, 3])
+    def test_candidate_sets_match_reference(self, database, probes):
+        index = LshIndex(seed=4, max_probes_per_table=probes)
+        index.build(database, np.arange(database.shape[0]))
+        queries = _noisy_queries(database, 80, sigma=3.0, seed=probes)
+        queries_of, rows = index._candidate_pairs(queries)
+        for query, reference in enumerate(candidate_rows_reference(index, queries)):
+            assert np.array_equal(rows[queries_of == query], reference)
+
+    @pytest.mark.parametrize("num_neighbors", [1, 2, 3])
+    @pytest.mark.parametrize("probes", [0, 1, 2, 3])
+    def test_parity_with_reference(self, database, probes, num_neighbors):
+        index = LshIndex(seed=5, max_probes_per_table=probes, max_bucket_size=24)
+        index.build(database, np.arange(database.shape[0]) * 3 + 1)
+        queries = np.vstack(
+            [_noisy_queries(database, 60, sigma=2.0, seed=7), database[990:1010]]
+        )
+        stored = index._store[: index.size]
+        expected = query_batch_reference(index, queries, num_neighbors)
+        actual = index.query_batch(queries, num_neighbors)
+        candidates = candidate_rows_reference(index, queries)
+        for query, rows, want, got in zip(queries, candidates, expected, actual):
+            # Distances are bit-identical.
+            assert [m.distance for m in got] == [m.distance for m in want]
+            deltas = stored[rows].astype(np.float64) - query.astype(np.float64)
+            all_distances = np.sqrt((deltas**2).sum(axis=1))
+            for position, (w, g) in enumerate(zip(want, got)):
+                tied = np.count_nonzero(all_distances == w.distance) > 1
+                assert tied or w.item_id == g.item_id, position
+
+    def test_float32_screen_keeps_near_ties(self):
+        """Near-copies closer than float32 Gram rounding still rank exactly.
+
+        Each query sits ~0.3 from eight non-integer copies of one base
+        descriptor whose squared norm is ~4e6, so float32 dots err by more
+        than the gaps between them; a screen without its error margin
+        returns the wrong neighbours here.
+        """
+        rng = np.random.default_rng(0)
+        base = rng.uniform(100, 255, (20, 128))
+        copies = base[:, None, :] + rng.normal(0, 0.02, (20, 8, 128))
+        database = copies.reshape(-1, 128).astype(np.float32)
+        queries = (base + rng.normal(0, 0.02, base.shape)).astype(np.float32)
+        index = LshIndex(E2LSHParams(num_tables=2), seed=0)
+        index.build(database, np.arange(database.shape[0]))
+        for num_neighbors in (1, 2, 3):
+            assert index.query_batch(queries, num_neighbors) == query_batch_reference(
+                index, queries, num_neighbors
+            )
+
+    def test_ties_go_to_the_lowest_row(self):
+        """Four copies of one row among 300 near neighbours come back row-first.
+
+        The per-descriptor lookup's default ``np.argsort`` returned these
+        tied rows in scrambled order.
+        """
+        rng = np.random.default_rng(1)
+        center = rng.uniform(50, 200, 128)
+        database = (center + rng.normal(0, 1, (300, 128))).astype(np.float32)
+        copies = np.array([38, 50, 229, 253])
+        database[copies] = database[copies[0]]
+        query = (database[38] + rng.normal(0, 0.5, 128)).astype(np.float32)
+        ids = 1000 - np.arange(300)  # payload ids run backwards
+        built = LshIndex(E2LSHParams(num_tables=3), seed=1)
+        built.build(database, ids)
+        incremental = LshIndex(E2LSHParams(num_tables=3), seed=1)
+        for chunk in np.array_split(np.arange(300), 3):
+            incremental.insert(database[chunk], ids[chunk])
+        for index in (built, incremental):
+            matches = index.query(query, num_neighbors=4)
+            assert [m.item_id for m in matches] == list(1000 - copies)
+            assert len({m.distance for m in matches}) == 1
+            assert [m.item_id for m in index.query(query, 2)] == list(1000 - copies[:2])
+
+    def test_empty_batch(self, index_1k):
+        assert index_1k.query_batch(np.empty((0, 128), np.float32), 2) == []
+
+    def test_out_of_range_query_rejected(self, index_1k):
+        # The +/-2^20 bucket range is checked, not wrapped, for queries too.
+        with pytest.raises(ValueError):
+            index_1k.query(np.full(128, 1e9, dtype=np.float32))
+
+    def test_memory_counts_norm_cache(self, index_1k):
+        bucket_bytes = sum(
+            len(table) * 16 + sum(rows.nbytes for rows in table.values())
+            for table in index_1k._tables
+        )
+        per_row = 128 * 4 + 8 + 8  # descriptor, payload id, squared norm
+        assert index_1k.memory_bytes() == bucket_bytes + index_1k.size * per_row
+
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(1, 120),
+        levels=st.sampled_from([2, 4, 256]),
+        jitter=st.sampled_from([0.0, 1e-3, 1.0]),
+        num_neighbors=st.integers(1, 3),
+        probes=st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_brute_force_over_reference_candidates(
+        self, seed, size, levels, jitter, num_neighbors, probes
+    ):
+        """Few value levels make exact ties; jitter makes near-ties."""
+        rng = np.random.default_rng(seed)
+        database = rng.integers(0, levels, (size, 128)) * (255 // max(levels - 1, 1))
+        database = (database + rng.normal(0, jitter, database.shape)).astype(np.float32)
+        queries = np.vstack(
+            [database[rng.integers(0, size, 8)], rng.integers(0, 256, (4, 128))]
+        )
+        queries = (queries + rng.normal(0, jitter, queries.shape)).astype(np.float32)
+        index = LshIndex(
+            E2LSHParams(num_tables=4),
+            seed=seed,
+            max_probes_per_table=probes,
+            max_bucket_size=16,
+        )
+        index.build(database, rng.permutation(size))
+        assert index.query_batch(queries, num_neighbors) == _brute_force_topk(
+            index, queries, num_neighbors
+        )
+
+
+class TestKthSmallestPerQuery:
+    @given(
+        counts=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_the_kth_tightly(self, counts, k, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([0.0, 1e-3, 1.0, 7.5, 1e6], size=sum(counts))
+        values = values * rng.uniform(0.5, 2.0, values.size)
+        queries = np.repeat(np.arange(len(counts)), counts)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        threshold = _kth_smallest_per_query(values, queries, starts, k)
+        for query, count in enumerate(counts):
+            if count < k:
+                assert threshold[query] == np.inf
+                continue
+            kth = np.sort(values[starts[query] : starts[query + 1]])[k - 1]
+            assert kth <= threshold[query] <= kth * (1 + 1e-6)
