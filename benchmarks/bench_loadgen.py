@@ -26,7 +26,7 @@ import time
 from repro.core import ServerConfig
 from repro.loadgen import TrafficModel, run_loadtest
 from repro.obs import MetricsRegistry, use_registry
-from repro.serving import ShardLoadModel, simulate_shard_throughput
+from repro.serving import simulate_queue_network
 
 _FAST_MILLION = TrafficModel(
     users=1_000_000,
@@ -108,12 +108,13 @@ def test_replication_skew(loadgen_trajectory):
 def _replay_seconds(num_queries: int) -> float:
     # Deep single-shard queue: every arrival lands behind all prior
     # ones, the worst case for any per-arrival backlog scan.
-    model = ShardLoadModel(
-        num_shards=1, queue_depth=num_queries, interarrival_seconds=0.0
-    )
     service = [1.0] * num_queries
     start = time.perf_counter()
-    result = simulate_shard_throughput(service, model)
+    arrivals = [0.0] * num_queries
+    shards = [0] * num_queries
+    result, _ = simulate_queue_network(
+        arrivals, service, shards, 1, queue_depth=num_queries
+    )
     elapsed = time.perf_counter() - start
     assert result.served == num_queries
     return elapsed

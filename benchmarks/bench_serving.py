@@ -23,55 +23,31 @@ import json
 
 import numpy as np
 
-from repro.core import Fingerprint, VisualPrintConfig, VisualPrintServer
-from repro.features.keypoint import KeypointSet
+from repro.core import VisualPrintServer
 from repro.obs import MetricsRegistry
-from repro.serving import ServingFrontend, ShardLoadModel, simulate_shard_throughput
+from repro.serving import (
+    ServingFrontend,
+    simulate_queue_network,
+    synthetic_query,
+    synthetic_venue,
+)
 from repro.util.rng import rng_for
-from repro.wardrive.environment import random_sift_descriptor
 
 _NUM_VENUES = 4
 _QUERIES_PER_VENUE = 30
 _DESCRIPTORS_PER_VENUE = 400
-_QUERY_KEYPOINTS = 24
 _SHARD_COUNTS = (1, 2, 4, 8)
 
 
 def _build_fleet(seed: int = 2016) -> dict[str, VisualPrintServer]:
-    fleet = {}
-    for index in range(_NUM_VENUES):
-        name = f"venue-{index}"
-        rng = rng_for(seed, f"bench/serving/{name}")
-        server = VisualPrintServer(
-            VisualPrintConfig(descriptor_capacity=8192, fingerprint_size=10),
-            bounds=(np.zeros(3), np.array([10.0, 10.0, 3.0])),
+    return {
+        f"venue-{index}": synthetic_venue(
+            rng_for(seed, f"bench/serving/venue-{index}"),
+            _DESCRIPTORS_PER_VENUE,
+            descriptor_capacity=8192,
         )
-        descriptors = np.array(
-            [random_sift_descriptor(rng) for _ in range(_DESCRIPTORS_PER_VENUE)]
-        )
-        server.ingest(
-            descriptors, rng.uniform(0, 10, (_DESCRIPTORS_PER_VENUE, 3))
-        )
-        fleet[name] = server
-    return fleet
-
-
-def _query_for(server: VisualPrintServer, rng) -> Fingerprint:
-    take = np.sort(
-        rng.choice(server.num_mappings, size=_QUERY_KEYPOINTS, replace=False)
-    )
-    descriptors = server.descriptors[take].astype(np.float32)
-    n = len(descriptors)
-    return Fingerprint(
-        keypoints=KeypointSet(
-            positions=rng.uniform(50, 590, (n, 2)).astype(np.float32),
-            scales=np.ones(n, np.float32),
-            orientations=np.zeros(n, np.float32),
-            responses=np.ones(n, np.float32),
-            descriptors=descriptors,
-        ),
-        uniqueness_counts=np.zeros(n, dtype=np.int64),
-    )
+        for index in range(_NUM_VENUES)
+    }
 
 
 def _workload(fleet: dict[str, VisualPrintServer], seed: int = 2016) -> list:
@@ -79,8 +55,40 @@ def _workload(fleet: dict[str, VisualPrintServer], seed: int = 2016) -> list:
     items = []
     for index in range(_QUERIES_PER_VENUE * len(fleet)):
         name = f"venue-{index % len(fleet)}"
-        items.append((name, _query_for(fleet[name], rng)))
+        items.append((name, synthetic_query(fleet[name], rng)))
     return items
+
+
+def _measured_service_seconds(fleet, items) -> list[float]:
+    """Each query's engine time through a one-shard inline frontend.
+
+    One ``serving_request_seconds`` observation per call, read as the
+    shard histogram's sum delta.
+    """
+    registry = MetricsRegistry()
+    service = registry.histogram("serving_request_seconds", shard="shard-0")
+    samples = []
+    with ServingFrontend(num_shards=1, registry=registry) as frontend:
+        for venue, server in fleet.items():
+            frontend.register_venue(venue, server)
+        for venue, query in items:
+            before = service.sum
+            frontend.call(venue, query)
+            samples.append(service.sum - before)
+    return samples
+
+
+def _round_robin(service_seconds, num_shards, queue_depth, gap=0.0):
+    """Query i arrives at ``i * gap`` on shard ``i % num_shards``."""
+    count = len(service_seconds)
+    result, _ = simulate_queue_network(
+        [index * gap for index in range(count)],
+        service_seconds,
+        [index % num_shards for index in range(count)],
+        num_shards,
+        queue_depth=queue_depth,
+    )
+    return result
 
 
 def test_frontend_dispatch_overhead(serving_trajectory, benchmark):
@@ -122,24 +130,12 @@ def test_shard_scaling(serving_trajectory):
     """>= 2x queries/sec at 4 shards vs 1, on measured service times."""
     fleet = _build_fleet()
     items = _workload(fleet)
-
-    registry = MetricsRegistry()
-    with ServingFrontend(num_shards=1, registry=registry) as frontend:
-        for venue, server in fleet.items():
-            frontend.register_venue(venue, server)
-        answers = frontend.map_many(items)
-    assert len(answers) == len(items)
-    service_seconds = registry.histogram(
-        "serving_request_seconds", shard="shard-0"
-    ).values()
-    assert len(service_seconds) == len(items)
+    service_seconds = _measured_service_seconds(fleet, items)
 
     depth = len(items)  # closed-loop: queue bound never binds
     rows = {}
     for shards in _SHARD_COUNTS:
-        result = simulate_shard_throughput(
-            service_seconds, ShardLoadModel(shards, queue_depth=depth)
-        )
+        result = _round_robin(service_seconds, shards, depth)
         assert result.served == len(items) and result.shed == 0
         rows[str(shards)] = {
             "queries_per_second": round(result.queries_per_second, 1),
@@ -172,23 +168,13 @@ def test_shard_scaling(serving_trajectory):
 def test_saturation_shedding(serving_trajectory):
     fleet = _build_fleet()
     items = _workload(fleet)
-    registry = MetricsRegistry()
-    with ServingFrontend(num_shards=1, registry=registry) as frontend:
-        for venue, server in fleet.items():
-            frontend.register_venue(venue, server)
-        frontend.map_many(items)
-    service_seconds = registry.histogram(
-        "serving_request_seconds", shard="shard-0"
-    ).values()
+    service_seconds = _measured_service_seconds(fleet, items)
 
     # Offer the stream at 2x one shard's sustainable rate with a short
     # queue: a reject-mode deployment sheds the excess instead of
     # building unbounded backlog.
     interarrival = float(np.mean(service_seconds)) / 2.0
-    result = simulate_shard_throughput(
-        service_seconds,
-        ShardLoadModel(1, queue_depth=8, interarrival_seconds=interarrival),
-    )
+    result = _round_robin(service_seconds, 1, 8, gap=interarrival)
     assert result.served + result.shed == len(items)
     assert result.shed > 0
     serving_trajectory["saturation_shedding"] = {

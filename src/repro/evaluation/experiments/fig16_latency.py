@@ -5,9 +5,9 @@ filter lookups + sorting 217 ms — extraction dominates by ~15x.  Our
 absolute numbers come from this host; the hardware-independent shape is
 the ratio (SIFT >= 5x oracle ranking per frame).
 
-The driver reads its per-stage samples from the client's metrics
-registry (``client_sift_seconds`` / ``client_oracle_seconds``
-histograms) and additionally pushes every fingerprint through an uplink
+Each frame's per-stage samples are its deltas of the client's
+``client_sift_seconds`` / ``client_oracle_seconds`` histogram sums.
+The driver additionally pushes every fingerprint through an uplink
 channel model, so a ``--metrics-json`` run captures the full
 shutter-to-server accounting: sift/oracle/serialize latency histograms,
 upload-byte counters, and ``network_transfer_seconds``.
@@ -49,20 +49,40 @@ def _make_client() -> tuple:
     return library, VisualPrintClient(oracle, config)
 
 
-def _process_frame(frame: int, context: tuple) -> tuple[int, int, TraceContext | None]:
-    """Fingerprint one frame; returns (payload size, keypoints, trace ctx).
+def _process_frame(
+    frame: int, context: tuple
+) -> tuple[int, int, TraceContext | None, float, float | None]:
+    """Fingerprint one frame.
 
-    The trace context travels back to the parent so the channel
-    transfer — applied sequentially after the pool for rng determinism —
-    can join the frame's trace (one ``trace_id`` per query end to end).
-    The keypoint count lets the parent build the degradation ladder
-    without shipping the fingerprint itself across the pool.
+    Returns (payload size, keypoints, trace ctx, sift seconds, oracle
+    seconds).  The trace context travels back to the parent so the
+    channel transfer — applied sequentially after the pool for rng
+    determinism — can join the frame's trace (one ``trace_id`` per
+    query end to end).  The keypoint count lets the parent build the
+    degradation ladder without shipping the fingerprint itself across
+    the pool.  The stage times are the frame's deltas of the client's
+    stage histograms; oracle seconds are ``None`` for a frame without
+    keypoints, which skips the oracle stage.
     """
     library, client = context
+    sift, oracle = (
+        client.metrics.histogram(f"client_{stage}_seconds")
+        for stage in ("sift", "oracle")
+    )
+    sift_before, oracle_before, oracle_count = sift.sum, oracle.sum, oracle.count
     scene = frame % library.num_scenes
     view = frame % library.views_per_scene
     fingerprint = client.process_frame(library.query_view(scene, view), frame)
-    return fingerprint.upload_bytes, len(fingerprint), client.tracer.last_context()
+    oracle_seconds = (
+        oracle.sum - oracle_before if oracle.count > oracle_count else None
+    )
+    return (
+        fingerprint.upload_bytes,
+        len(fingerprint),
+        client.tracer.last_context(),
+        sift.sum - sift_before,
+        oracle_seconds,
+    )
 
 
 class _UplinkEngine:
@@ -83,7 +103,7 @@ class _UplinkEngine:
         self.registry = registry
 
     def serve(self, payload):
-        size, num_keypoints, trace_context = payload
+        size, num_keypoints, trace_context, _, _ = payload
         with use_trace_context(trace_context):
             if self.retry is None:
                 return self.channel_model.transfer_seconds(size, self.rng)
@@ -150,7 +170,9 @@ def run(
         chunk_setup=_make_client,
         registry=registry,
     )
-    upload_bytes = [size for size, _, _ in outcomes]
+    upload_bytes = [outcome[0] for outcome in outcomes]
+    sift = np.array([outcome[3] for outcome in outcomes])
+    oracle_t = np.array([outcome[4] for outcome in outcomes if outcome[4] is not None])
 
     uplink = CHANNEL_PRESETS[channel]
     channel_model = (
@@ -190,8 +212,6 @@ def run(
             "retries": retries,
         }
 
-    sift = np.array(registry.histogram("client_sift_seconds").values())
-    oracle_t = np.array(registry.histogram("client_oracle_seconds").values())
     transfer_arr = np.array(transfer) if transfer else np.zeros(0)
     return {
         "sift_seconds": sift,

@@ -8,7 +8,7 @@ costs once, then replay them in simulated time — scaled up to a fleet:
    deterministic default — a ``--fast`` CI run must be bit-identical
    across reruns) or from :func:`calibrate_service_seconds`, which
    boots a small *real* :class:`repro.serving.ServingFrontend`, serves
-   real localization queries, and harvests the
+   real localization queries, and times each one on the frontend's
    ``serving_request_seconds`` histogram.
 2. **Generate.**  :func:`repro.loadgen.arrivals.generate_arrivals`
    synthesizes the open-loop arrival stream (Poisson users, burst
@@ -104,16 +104,15 @@ def calibrate_service_seconds(
 ) -> np.ndarray:
     """Measure real per-query service times through a live frontend.
 
-    Builds a miniature fleet (synthetic wardriven venues), serves
-    ``queries`` real localization queries through a one-shard inline
-    :class:`repro.serving.ServingFrontend`, and returns the
-    ``serving_request_seconds`` samples.  Wall-clock measurement — not
-    deterministic across hosts or reruns; use
+    Builds a miniature fleet (:func:`repro.serving.synthetic_venue`),
+    serves ``queries`` real localization queries through a one-shard
+    inline :class:`repro.serving.ServingFrontend`, and returns each
+    query's ``serving_request_seconds`` observation (the shard
+    histogram's sum delta across the call).  Wall-clock measurement —
+    not deterministic across hosts or reruns; use
     :func:`synthetic_service_seconds` when the output must be.
     """
-    from repro.core import VisualPrintConfig, VisualPrintServer
-    from repro.serving import ServingFrontend
-    from repro.wardrive.environment import random_sift_descriptor
+    from repro.serving import ServingFrontend, synthetic_query, synthetic_venue
 
     registry = MetricsRegistry()
     frontend = ServingFrontend(num_shards=1, registry=registry)
@@ -121,27 +120,20 @@ def calibrate_service_seconds(
     for index in range(venues):
         name = f"venue-{index}"
         rng = rng_for(seed, f"loadgen/calibrate/{name}")
-        server = VisualPrintServer(
-            VisualPrintConfig(descriptor_capacity=4096, fingerprint_size=10),
-            bounds=(np.zeros(3), np.array([10.0, 10.0, 3.0])),
-        )
-        descriptors = np.array(
-            [random_sift_descriptor(rng) for _ in range(descriptors_per_venue)]
-        )
-        server.ingest(
-            descriptors, rng.uniform(0, 10, (descriptors_per_venue, 3))
-        )
-        servers[name] = server
-        frontend.register_venue(name, server)
-    from repro.cli import _synthetic_query
-
+        servers[name] = synthetic_venue(rng, descriptors_per_venue)
+        frontend.register_venue(name, servers[name])
+    service = registry.histogram(
+        "serving_request_seconds", shard=frontend.venues.shard_ids[0]
+    )
     rng = rng_for(seed, "loadgen/calibrate/queries")
+    samples = np.empty(queries)
     for index in range(queries):
         name = f"venue-{index % venues}"
-        frontend.call(name, _synthetic_query(servers[name], rng))
+        before = service.sum
+        frontend.call(name, synthetic_query(servers[name], rng))
+        samples[index] = service.sum - before
     frontend.close()
-    samples = registry.histogram("serving_request_seconds").values()
-    return np.asarray(samples, dtype=np.float64)
+    return samples
 
 
 def _replica_choices(

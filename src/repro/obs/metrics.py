@@ -4,7 +4,7 @@ The observability layer the rest of the reproduction reports into.  It
 is deliberately dependency-free (stdlib only — not even numpy) so the
 hot paths it instruments pay microseconds, not imports: a
 :class:`Counter` increment is one float add, a :class:`Histogram`
-observation is a bisect plus an (amortized O(1)) reservoir update.
+observation is a bisect plus one sketch-bucket increment.
 
 Three design points worth knowing:
 
@@ -19,16 +19,16 @@ Three design points worth knowing:
   :func:`use_registry`, else into a private one.  The CLI wraps every
   experiment in ``use_registry`` so one ``--metrics-json`` snapshot
   captures client, oracle, network, and server at once.
-* **Reservoir quantiles.**  Histograms keep fixed cumulative buckets
-  (Prometheus-style) *and* a bounded uniform sample of raw values
-  (Vitter's Algorithm R, seeded per-instrument for determinism) so
-  ``quantile(0.5)`` stays accurate without unbounded memory.
+* **One quantile primitive.**  Histograms keep fixed cumulative
+  buckets (Prometheus-style) for export and answer every summary and
+  quantile from an embedded :class:`QuantileSketch`: within 1% of an
+  exact sample quantile, bounded memory, and an exact, order-free
+  cross-worker merge.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import threading
 import time
 from bisect import bisect_left
@@ -64,8 +64,6 @@ DEFAULT_BYTE_BUCKETS: tuple[float, ...] = (
     256.0, 1024.0, 4096.0, 16384.0, 65536.0,
     262144.0, 1048576.0, 4194304.0, 16777216.0,
 )
-
-_RESERVOIR_SIZE = 1024
 
 #: Per-instrument-name cap on distinct label sets.  At fleet scale a
 #: per-venue label can mint unbounded instruments; past the cap new
@@ -160,13 +158,17 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed cumulative buckets plus a reservoir for quantiles."""
+    """Fixed cumulative buckets for Prometheus plus a sketch for quantiles.
+
+    Every summary — ``count``, ``sum``, ``mean``, ``min``, ``max`` and
+    any quantile — comes from one embedded :class:`QuantileSketch`, so
+    a histogram's quantiles merge exactly and never depend on the
+    process or its hash seed.  Values must be non-negative (durations
+    and sizes).
+    """
 
     kind = "histogram"
-    __slots__ = (
-        "name", "help", "labels", "bucket_bounds", "_bucket_counts",
-        "_count", "_sum", "_min", "_max", "_reservoir", "_rng",
-    )
+    __slots__ = ("name", "help", "labels", "bucket_bounds", "_bucket_counts", "_sketch")
 
     def __init__(
         self,
@@ -183,30 +185,12 @@ class Histogram:
             raise ValueError(f"histogram buckets must be strictly increasing: {bounds}")
         self.bucket_bounds = bounds
         self._bucket_counts = [0] * (len(bounds) + 1)  # last slot = +Inf
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._reservoir: list[float] = []
-        # Deterministic per-instrument stream: same observations in the
-        # same order always summarize identically (tests rely on this).
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
+        self._sketch = QuantileSketch(name)
 
     def observe(self, value: float) -> None:
         value = float(value)
+        self._sketch.observe(value)  # rejects negatives before any count moves
         self._bucket_counts[bisect_left(self.bucket_bounds, value)] += 1
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if len(self._reservoir) < _RESERVOIR_SIZE:
-            self._reservoir.append(value)
-        else:  # Algorithm R replacement keeps a uniform sample.
-            slot = self._rng.randrange(self._count)
-            if slot < _RESERVOIR_SIZE:
-                self._reservoir[slot] = value
 
     @contextmanager
     def time(self) -> Iterator[None]:
@@ -219,48 +203,27 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return self._count
+        return self._sketch.count
 
     @property
     def sum(self) -> float:
-        return self._sum
+        return self._sketch.sum
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        return self._sketch.mean
 
-    def values(self) -> list[float]:
-        """Reservoir snapshot (exact and insertion-ordered until
-        ``_RESERVOIR_SIZE`` observations, a uniform subsample after)."""
-        return list(self._reservoir)
+    @property
+    def num_buckets(self) -> int:
+        """Occupied sketch buckets: the histogram's memory, whatever its count."""
+        return self._sketch.num_buckets
 
     def quantile(self, q: float) -> float:
-        """Reservoir quantile with linear interpolation; 0.0 when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        """The sketch's q-quantile (within 1%); 0.0 when empty."""
+        return self._sketch.quantile(q)
 
     def quantiles(self, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> dict[float, float]:
-        if not self._reservoir:
-            return {q: 0.0 for q in qs}
-        ordered = sorted(self._reservoir)
-        out = {}
-        for q in qs:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"quantile must be in [0, 1], got {q}")
-            position = q * (len(ordered) - 1)
-            low = int(position)
-            high = min(low + 1, len(ordered) - 1)
-            fraction = position - low
-            out[q] = ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-        return out
+        return self._sketch.quantiles(qs)
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative ``(upper_bound, count)`` pairs, ending at +Inf."""
@@ -274,34 +237,17 @@ class Histogram:
 
     def reset(self) -> None:
         self._bucket_counts = [0] * (len(self.bucket_bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._reservoir.clear()
+        self._sketch.reset()
 
     def state(self) -> dict[str, Any]:
         return {
             "buckets": tuple(self.bucket_bounds),
             "bucket_counts": list(self._bucket_counts),
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-            "reservoir": list(self._reservoir),
+            "sketch": self._sketch.state(),
         }
 
     def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold another histogram's state in.
-
-        Bucket counts, totals, and extrema merge exactly.  The reservoir
-        merge is an approximation: incoming samples are appended and the
-        combined list truncated to the reservoir capacity, which keeps
-        the merge deterministic (independent of worker completion order,
-        since callers merge in chunk order) at the cost of slightly
-        biasing quantiles toward earlier chunks once the reservoir
-        overflows.
-        """
+        """Fold another histogram's state in: everything merges exactly."""
         if tuple(state["buckets"]) != self.bucket_bounds:
             raise ValueError(
                 f"cannot merge histogram {self.name!r}: bucket bounds differ "
@@ -310,21 +256,17 @@ class Histogram:
         self._bucket_counts = [
             a + b for a, b in zip(self._bucket_counts, state["bucket_counts"])
         ]
-        self._count += int(state["count"])
-        self._sum += float(state["sum"])
-        self._min = min(self._min, float(state["min"]))
-        self._max = max(self._max, float(state["max"]))
-        self._reservoir.extend(state["reservoir"])
-        del self._reservoir[_RESERVOIR_SIZE:]
+        self._sketch.merge_state(state["sketch"])
 
     def to_dict(self) -> dict[str, Any]:
-        quantiles = self.quantiles((0.5, 0.9, 0.99))
+        sketch = self._sketch
+        quantiles = sketch.quantiles((0.5, 0.9, 0.99))
         return {
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min if self._count else 0.0,
-            "max": self._max if self._count else 0.0,
-            "mean": self.mean,
+            "count": sketch.count,
+            "sum": sketch.sum,
+            "min": sketch.min,
+            "max": sketch.max,
+            "mean": sketch.mean,
             "p50": quantiles[0.5],
             "p90": quantiles[0.9],
             "p99": quantiles[0.99],
@@ -382,9 +324,6 @@ class _NullInstrument:
     @property
     def sum(self) -> float:
         return 0.0
-
-    def values(self) -> list[float]:
-        return []
 
     def quantile(self, q: float) -> float:
         return 0.0

@@ -1,24 +1,26 @@
 """Streaming quantile sketch: p50/p99/p999 without storing samples.
 
-The :class:`repro.obs.Histogram` answers quantile queries from a bounded
-reservoir — exact until 1024 observations, then a uniform subsample
-whose cross-worker merge is order-biased (chunk order decides which
-samples survive).  That is fine for per-run summaries but wrong for SLO
-arithmetic at fleet scale, where tail quantiles over millions of
+The repo's one quantile primitive.  Tail quantiles over millions of
 latencies must be (a) memory-bounded, (b) *mergeable with an
-order-independent result*, and (c) carry a known error bound.
+order-independent result*, and (c) carry a known error bound — for SLO
+arithmetic at fleet scale and equally for the per-run summaries of
+:class:`repro.obs.Histogram`, which embeds one of these for every
+quantile it reports.
 
 :class:`QuantileSketch` is a fixed-relative-accuracy sketch in the
 DDSketch family: values map to geometrically-spaced buckets
 (``key = ceil(log_gamma(value))`` with ``gamma = (1 + a) / (1 - a)``),
 so every reported quantile is within relative accuracy ``a`` (default
 1%) of an exact sample quantile, at any scale from microseconds to
-hours.  Buckets are a sparse dict, so memory is O(log(max/min) / a) —
-a few hundred ints for any realistic latency distribution — and merging
-two sketches is bucket-wise addition: exactly commutative and
-associative, so a ``workers=N`` :mod:`repro.parallel` merge-back
-reports bit-identical quantiles to a serial run regardless of chunk
-completion order (the property ``tests/test_sketch.py`` holds it to).
+hours.  Estimates are clamped to the observed ``[min, max]``, which
+never increases the error and keeps single-value and extreme-rank
+quantiles exact.  Buckets are a sparse dict, so memory is
+O(log(max/min) / a) — a few hundred ints for any realistic latency
+distribution — and merging two sketches is bucket-wise addition (with
+exact ``min``/``max``): commutative and associative, so a ``workers=N``
+:mod:`repro.parallel` merge-back reports bit-identical quantiles to a
+serial run regardless of chunk completion order (the property
+``tests/test_sketch.py`` holds it to).
 
 Registered through :meth:`repro.obs.MetricsRegistry.sketch`, a sketch
 rides the registry's existing ``state()`` / ``merge_state()``
@@ -118,12 +120,28 @@ class QuantileSketch:
         return self._sum / self._count if self._count else 0.0
 
     @property
+    def min(self) -> float:
+        """Smallest observed value; 0.0 when empty."""
+        return self._min if self._count else 0.0
+
+    @property
+    def max(self) -> float:
+        """Largest observed value; 0.0 when empty."""
+        return self._max if self._count else 0.0
+
+    @property
     def num_buckets(self) -> int:
         return len(self._buckets) + (1 if self._zero_count else 0)
 
     def _bucket_value(self, key: int) -> float:
-        """Midpoint estimate for a bucket: within ``a`` of any member."""
-        return 2.0 * self._gamma ** key / (self._gamma + 1.0)
+        """Midpoint estimate for a bucket, clamped to ``[min, max]``.
+
+        The midpoint is within ``a`` of any member; the exact sample
+        value lies in ``[min, max]`` too, so clamping only moves the
+        estimate closer to it.
+        """
+        estimate = 2.0 * self._gamma ** key / (self._gamma + 1.0)
+        return min(max(estimate, self._min), self._max)
 
     def quantile(self, q: float) -> float:
         """The q-quantile estimate; 0.0 when empty.
@@ -131,46 +149,40 @@ class QuantileSketch:
         Rank convention matches ``numpy``'s ``method="lower"`` on the
         sorted sample (``rank = floor(q * (count - 1))``), so the
         returned value is within ``relative_accuracy`` of the exact
-        sample value at that rank.
+        sample value at that rank.  The lowest and highest ranks return
+        the observed ``min`` and ``max`` exactly.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._count == 0:
-            return 0.0
-        rank = int(q * (self._count - 1))
-        if rank < self._zero_count:
-            return 0.0
-        cumulative = self._zero_count
-        for key in sorted(self._buckets):
-            cumulative += self._buckets[key]
-            if cumulative > rank:
-                return self._bucket_value(key)
-        return self._bucket_value(max(self._buckets))  # pragma: no cover
+        return self.quantiles((q,))[q]
 
     def quantiles(
         self, qs: tuple[float, ...] = DEFAULT_QUANTILES
     ) -> dict[float, float]:
-        """Several quantiles in one sorted-bucket walk."""
+        """Several quantiles in one sorted-bucket walk (see :meth:`quantile`)."""
         for q in qs:
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self._count == 0:
             return {q: 0.0 for q in qs}
-        ranks = {q: int(q * (self._count - 1)) for q in qs}
+        last = self._count - 1
         out: dict[float, float] = {}
-        ordered = sorted(self._buckets)
-        for q, rank in ranks.items():
-            if rank < self._zero_count:
-                out[q] = 0.0
+        pending: dict[float, int] = {}
+        for q in qs:
+            rank = int(q * last)
+            if rank == 0 or rank < self._zero_count:
+                out[q] = self._min
+            elif rank == last:
+                out[q] = self._max
+            else:
+                pending[q] = rank
         cumulative = self._zero_count
-        for key in ordered:
-            cumulative += self._buckets[key]
-            for q, rank in ranks.items():
-                if q not in out and cumulative > rank:
-                    out[q] = self._bucket_value(key)
-            if len(out) == len(qs):
+        for key in sorted(self._buckets):
+            if not pending:
                 break
-        return {q: out.get(q, 0.0) for q in qs}
+            cumulative += self._buckets[key]
+            for q in [q for q, rank in pending.items() if cumulative > rank]:
+                out[q] = self._bucket_value(key)
+                del pending[q]
+        return {q: out[q] for q in qs}
 
     def bucket_items(self) -> Iterator[tuple[int, int]]:
         """``(key, count)`` pairs in ascending key order."""
@@ -203,8 +215,7 @@ class QuantileSketch:
 
         Addition over a sparse dict is commutative and associative, so
         any merge order — serial, chunked, tree-shaped — yields the
-        same buckets and therefore the same quantiles (the
-        order-independence guarantee the reservoir histogram lacks).
+        same buckets and extrema and therefore the same quantiles.
         """
         if float(state["relative_accuracy"]) != self.relative_accuracy:
             raise ValueError(
@@ -225,8 +236,8 @@ class QuantileSketch:
         return {
             "count": self._count,
             "sum": self._sum,
-            "min": self._min if self._count else 0.0,
-            "max": self._max if self._count else 0.0,
+            "min": self.min,
+            "max": self.max,
             "mean": self.mean,
             "p50": quantiles[0.5],
             "p99": quantiles[0.99],

@@ -15,8 +15,10 @@ package scales it out:
 * :class:`ServingFrontend` — the asyncio admission/routing layer with
   bounded-queue backpressure and per-shard saturation gauges
   (``frontend``).
-* :func:`simulate_shard_throughput` — discrete-event capacity model
+* :func:`simulate_queue_network` — discrete-event capacity model
   replaying measured service times over shard queues (``loadsim``).
+* :func:`synthetic_venue` / :func:`synthetic_query` — miniature venues
+  and queries for driving the layer (``synthetic``).
 """
 
 from repro.serving.frontend import ServingFrontend, ShardSaturatedError
@@ -25,10 +27,8 @@ from repro.serving.loadsim import (
     QUERY_ABANDONED,
     QUERY_SERVED,
     QUERY_SHED,
-    ShardLoadModel,
     SimulatedLoadResult,
     simulate_queue_network,
-    simulate_shard_throughput,
 )
 from repro.serving.registry import VenueRegistry, load_venue_server
 from repro.serving.shards import (
@@ -37,6 +37,7 @@ from repro.serving.shards import (
     ProcessShardWorker,
     resolve_serve,
 )
+from repro.serving.synthetic import synthetic_query, synthetic_venue
 
 __all__ = [
     "ConsistentHashRing",
@@ -47,12 +48,12 @@ __all__ = [
     "QUERY_SERVED",
     "QUERY_SHED",
     "ServingFrontend",
-    "ShardLoadModel",
     "ShardSaturatedError",
     "SimulatedLoadResult",
     "VenueRegistry",
     "load_venue_server",
     "resolve_serve",
     "simulate_queue_network",
-    "simulate_shard_throughput",
+    "synthetic_query",
+    "synthetic_venue",
 ]

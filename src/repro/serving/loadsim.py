@@ -9,18 +9,16 @@ answer the capacity question — *what aggregate queries/sec does a
 topology sustain?* — independently of how many physical cores the
 measurement host happens to have.
 
-Two entry points share one engine:
-
-* :func:`simulate_shard_throughput` — the original fixed-gap replay:
-  queries arrive every ``interarrival_seconds``, routed round-robin
-  (matching the consistent-hash spread of many venues over few shards).
-* :func:`simulate_queue_network` — the general form the
-  :mod:`repro.loadgen` harness drives: explicit (sorted) arrival times,
-  per-query candidate shard lists (replica sets — the query joins the
-  shortest candidate queue), and an optional per-query *abandoned* mask
-  for queries lost upstream (e.g. in a :class:`repro.network.faults
-  .FaultyChannel` leg) that count as offered load but never reach a
-  shard.
+One entry point, :func:`simulate_queue_network`, takes explicit
+(sorted) arrival times, per-query candidate shard lists (replica sets —
+the query joins the shortest candidate queue), and an optional
+per-query *abandoned* mask for queries lost upstream (e.g. in a
+:class:`repro.network.faults.FaultyChannel` leg) that count as offered
+load but never reach a shard.  The :mod:`repro.loadgen` harness passes
+generated arrivals and ring-derived replica sets; a fixed-gap capacity
+study passes ``arrivals[i] = i * gap`` and round-robin
+``shard_choices[i] = i % num_shards`` (the consistent-hash spread of
+many venues over few shards).
 
 Each shard is a single FIFO server (matching the one-process-per-shard
 worker).  A bounded queue applies the frontend's admission policy:
@@ -55,10 +53,8 @@ __all__ = [
     "QUERY_ABANDONED",
     "QUERY_SERVED",
     "QUERY_SHED",
-    "ShardLoadModel",
     "SimulatedLoadResult",
     "simulate_queue_network",
-    "simulate_shard_throughput",
 ]
 
 # Per-query outcome codes emitted by simulate_queue_network.
@@ -67,32 +63,13 @@ QUERY_SHED = 1
 QUERY_ABANDONED = 2
 
 
-@dataclass(frozen=True)
-class ShardLoadModel:
-    """One topology to evaluate: N shards fed by an open-loop arrival stream."""
-
-    num_shards: int
-    queue_depth: int = 64
-    # Offered load: one query every `interarrival_seconds` of simulated time.
-    interarrival_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.interarrival_seconds < 0:
-            raise ValueError("interarrival_seconds must be >= 0")
-
-
 @dataclass
 class SimulatedLoadResult:
     """Outcome of one simulated run.
 
     ``served + shed + abandoned == offered`` always holds; the
-    ``abandoned`` bucket is only populated by
-    :func:`simulate_queue_network` callers that model an upstream
-    (channel) leg.
+    ``abandoned`` bucket is only populated by callers that model an
+    upstream (channel) leg.
     """
 
     num_shards: int
@@ -298,30 +275,3 @@ def simulate_queue_network(
     )
     return result, outcomes
 
-
-def simulate_shard_throughput(
-    service_seconds: list[float],
-    model: ShardLoadModel,
-) -> SimulatedLoadResult:
-    """Replay measured ``service_seconds`` through ``model``'s shard queues.
-
-    Query *i* arrives at ``i * interarrival_seconds`` and is routed to
-    shard ``i % num_shards`` (the round-robin limit of hashing many
-    venues onto few shards).  Each shard serves FIFO, one query at a
-    time.  If a query arrives while its shard already holds
-    ``queue_depth`` waiting-or-executing queries, it is shed
-    (``admission="reject"``); with ``interarrival_seconds=0`` and a deep
-    queue this degenerates to the closed-loop saturation throughput.
-    """
-    gap = model.interarrival_seconds
-    num_shards = model.num_shards
-    arrivals = [index * gap for index in range(len(service_seconds))]
-    shard_choices = [index % num_shards for index in range(len(service_seconds))]
-    result, _ = simulate_queue_network(
-        arrivals,
-        service_seconds,
-        shard_choices,
-        num_shards,
-        queue_depth=model.queue_depth,
-    )
-    return result

@@ -25,6 +25,7 @@ from repro.core import ServerConfig
 from repro.loadgen import (
     TrafficModel,
     burst_envelope,
+    calibrate_service_seconds,
     empirical_zipf_error,
     generate_arrivals,
     run_loadtest,
@@ -301,6 +302,13 @@ class TestRunLoadtest:
                 service_samples=[],
                 registry=MetricsRegistry(),
             )
+
+    def test_calibration_times_every_query(self):
+        # One positive wall-clock sample per served query: the shard's
+        # labelled histogram, not an empty unlabelled one.
+        samples = calibrate_service_seconds(queries=5, descriptors_per_venue=60)
+        assert samples.shape == (5,)
+        assert np.all(samples > 0.0)
 
 
 class TestLoadtestCli:

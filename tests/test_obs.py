@@ -1,16 +1,21 @@
 """Tests for the observability layer (repro.obs) and its pipeline wiring.
 
-Covers: histogram quantiles, Prometheus escaping and round-trip, span
-nesting, the contextual registry, removal of the ClientStats /
-median_latency deprecation-cycle shims, oracle lookup_batch vs scalar
-lookup (including a hypothesis property for counts), incremental
-LshIndex.insert equivalence, and the CLI --metrics-json path.
+Covers: histogram quantiles (sketch-backed, hash-seed independent),
+Prometheus escaping and round-trip, span nesting, the contextual
+registry, removal of the ClientStats / median_latency deprecation-cycle
+shims, oracle lookup_batch vs scalar lookup (including a hypothesis
+property for counts), incremental LshIndex.insert equivalence, and the
+CLI --metrics-json path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +30,15 @@ from repro.obs import (
     Counter,
     Histogram,
     MetricsRegistry,
+    QuantileSketch,
     Tracer,
     current_registry,
     parse_prometheus,
     use_registry,
 )
 from repro.wardrive.environment import random_sift_descriptor
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +117,15 @@ class TestHistogram:
             histogram.observe(float(value))
         assert histogram.quantile(0.0) == 1.0
         assert histogram.quantile(1.0) == 100.0
-        assert histogram.quantile(0.5) == pytest.approx(50.5)
-        assert histogram.quantile(0.9) == pytest.approx(90.1)
+        values = np.arange(1.0, 101.0)
+        for q in (0.5, 0.9):
+            exact = np.quantile(values, q, method="lower")
+            assert histogram.quantile(q) == pytest.approx(exact, rel=0.01)
         assert histogram.count == 100
         assert histogram.sum == pytest.approx(5050.0)
         assert histogram.mean == pytest.approx(50.5)
+        summary = histogram.to_dict()
+        assert (summary["min"], summary["max"]) == (1.0, 100.0)
 
     def test_quantile_bounds_checked(self):
         histogram = Histogram("h")
@@ -140,13 +152,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", buckets=(2.0, 1.0))
 
-    def test_reservoir_stays_bounded(self):
+    def test_memory_stays_bounded(self):
         histogram = Histogram("h")
         for value in range(5000):
             histogram.observe(float(value))
-        assert len(histogram.values()) == 1024
+        # 1% buckets over 1..4999 plus the zero bucket: ~430, not 5000.
+        assert histogram.num_buckets <= 450
         assert histogram.count == 5000
-        # The subsample still summarizes the distribution reasonably.
         assert 1500 < histogram.quantile(0.5) < 3500
 
     def test_time_context_manager(self):
@@ -154,7 +166,44 @@ class TestHistogram:
         with histogram.time():
             _ = sum(range(1000))
         assert histogram.count == 1
-        assert histogram.values()[0] >= 0.0
+        assert histogram.sum >= 0.0
+
+    def test_quantiles_match_a_sketch_fed_the_same_values(self):
+        rng = np.random.default_rng(7)
+        histogram = Histogram("client_sift_seconds")
+        sketch = QuantileSketch("client_sift_seconds")
+        for value in rng.lognormal(-1.0, 0.5, 4096):
+            histogram.observe(value)
+            sketch.observe(value)
+        qs = (0.5, 0.9, 0.99)
+        assert histogram.quantiles(qs) == sketch.quantiles(qs)
+
+    def test_summary_independent_of_hash_seed(self):
+        # The same observations must summarize identically in any
+        # process: nothing in a histogram may depend on the salted
+        # str hash.
+        script = (
+            "import json, random\n"
+            "from repro.obs import Histogram\n"
+            "rng = random.Random(7)\n"
+            "histogram = Histogram('client_sift_seconds')\n"
+            "for _ in range(4096):\n"
+            "    histogram.observe(rng.random())\n"
+            "print(json.dumps(histogram.to_dict(), sort_keys=True))\n"
+        )
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(_SRC), env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["count"] == 4096
 
 
 class TestPrometheus:

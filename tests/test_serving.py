@@ -30,11 +30,9 @@ from repro.serving import (
     ConsistentHashRing,
     EngineSpec,
     ServingFrontend,
-    ShardLoadModel,
     ShardSaturatedError,
     VenueRegistry,
     simulate_queue_network,
-    simulate_shard_throughput,
 )
 from repro.util.rng import rng_for
 from repro.wardrive.environment import random_sift_descriptor
@@ -389,11 +387,24 @@ class TestServingFrontend:
         frontend.close()
 
 
+def _fixed_gap(service, num_shards, queue_depth=64, gap=0.0):
+    """Query i arrives at ``i * gap`` on shard ``i % num_shards``."""
+    count = len(service)
+    result, _ = simulate_queue_network(
+        [index * gap for index in range(count)],
+        service,
+        [index % num_shards for index in range(count)],
+        num_shards,
+        queue_depth=queue_depth,
+    )
+    return result
+
+
 class TestLoadSimulator:
     def test_throughput_scales_with_shards(self):
         service = [0.01] * 200
-        one = simulate_shard_throughput(service, ShardLoadModel(1, queue_depth=200))
-        four = simulate_shard_throughput(service, ShardLoadModel(4, queue_depth=200))
+        one = _fixed_gap(service, 1, queue_depth=200)
+        four = _fixed_gap(service, 4, queue_depth=200)
         assert one.served == four.served == 200
         assert four.queries_per_second >= 2.0 * one.queries_per_second
         assert four.utilization > 0.9
@@ -401,28 +412,22 @@ class TestLoadSimulator:
     def test_open_loop_sheds_beyond_queue_bound(self):
         # Offered load 10x one shard's capacity with a tiny queue: most
         # arrivals shed, served + shed accounts for every query.
-        result = simulate_shard_throughput(
-            [0.1] * 100,
-            ShardLoadModel(1, queue_depth=2, interarrival_seconds=0.01),
-        )
+        result = _fixed_gap([0.1] * 100, 1, queue_depth=2, gap=0.01)
         assert result.shed > 0
         assert result.served + result.shed == 100
 
     def test_underload_has_no_waiting(self):
-        result = simulate_shard_throughput(
-            [0.01] * 50,
-            ShardLoadModel(2, interarrival_seconds=1.0),
-        )
+        result = _fixed_gap([0.01] * 50, 2, gap=1.0)
         assert result.shed == 0
         assert result.mean_wait_seconds == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardLoadModel(0)
-        with pytest.raises(ValueError):
-            ShardLoadModel(1, queue_depth=0)
-        with pytest.raises(ValueError):
-            simulate_shard_throughput([-1.0], ShardLoadModel(1))
+        with pytest.raises(ValueError, match="num_shards"):
+            simulate_queue_network([0.0], [0.1], [0], 0)
+        with pytest.raises(ValueError, match="queue_depth"):
+            simulate_queue_network([0.0], [0.1], [0], 1, queue_depth=0)
+        with pytest.raises(ValueError, match="negative"):
+            simulate_queue_network([0.0], [-1.0], [0], 1)
 
     # -- accounting bugfix regressions (ISSUE 9 satellites) ------------
 
@@ -432,9 +437,7 @@ class TestLoadSimulator:
         # 1.0, depth 1, every third arrival is served at its arrival
         # instant (the queue retires exactly then) and the two between
         # are shed.
-        result = simulate_shard_throughput(
-            [3.0] * 8, ShardLoadModel(1, queue_depth=1, interarrival_seconds=1.0)
-        )
+        result = _fixed_gap([3.0] * 8, 1, queue_depth=1, gap=1.0)
         assert result.served == 3  # queries 0, 3, 6
         assert result.shed == 5
         assert result.offered == 8
@@ -467,9 +470,7 @@ class TestLoadSimulator:
 
     def test_saturation_locks_corrected_throughput_value(self):
         """Saturated run: the corrected qps value, locked by hand."""
-        result = simulate_shard_throughput(
-            [3.0] * 8, ShardLoadModel(1, queue_depth=1, interarrival_seconds=1.0)
-        )
+        result = _fixed_gap([3.0] * 8, 1, queue_depth=1, gap=1.0)
         # Served at t=0,3,6 finishing at 3,6,9; last arrival t=7.
         assert result.makespan_seconds == max(7.0, 9.0) == 9.0
         assert result.queries_per_second == pytest.approx(3 / 9.0)
@@ -477,12 +478,8 @@ class TestLoadSimulator:
     def test_overload_wait_accounting_exports_both_views(self):
         """Served-only mean wait *improves* as overload worsens (the
         survivor bias the offered count exposes)."""
-        mild = simulate_shard_throughput(
-            [1.0] * 60, ShardLoadModel(1, queue_depth=4, interarrival_seconds=0.5)
-        )
-        heavy = simulate_shard_throughput(
-            [1.0] * 60, ShardLoadModel(1, queue_depth=4, interarrival_seconds=0.05)
-        )
+        mild = _fixed_gap([1.0] * 60, 1, queue_depth=4, gap=0.5)
+        heavy = _fixed_gap([1.0] * 60, 1, queue_depth=4, gap=0.05)
         assert heavy.shed_fraction > mild.shed_fraction > 0.0
         # The misleading direction the fix documents: heavier shedding,
         # *better-looking* served-only wait.
@@ -508,17 +505,6 @@ class TestLoadSimulator:
             simulate_queue_network([0.0], [0.1, 0.1], [0, 0], 1)
         with pytest.raises(ValueError):
             simulate_queue_network([0.0], [0.1], [0], 0)
-
-    def test_fixed_gap_wrapper_matches_network_form(self):
-        service = [0.03, 0.01, 0.07, 0.02] * 25
-        model = ShardLoadModel(3, queue_depth=4, interarrival_seconds=0.01)
-        via_wrapper = simulate_shard_throughput(service, model)
-        arrivals = [i * 0.01 for i in range(len(service))]
-        choices = [i % 3 for i in range(len(service))]
-        via_network, _ = simulate_queue_network(
-            arrivals, service, choices, 3, queue_depth=4
-        )
-        assert via_wrapper.as_dict() == via_network.as_dict()
 
     def test_replica_choices_join_shortest_queue(self):
         # Two shards, every query may use either: a long-running query
