@@ -14,8 +14,16 @@ shortlist exactly.  This benchmark times both on two seeded indexes:
   server's localization lookup does.
 
 It also records the candidate pairs per descriptor and the share of them
-the screen sends to the exact re-rank.  Rows land in BENCH_lsh.json via
-``conftest.pytest_sessionfinish``.  Run from the repository root::
+the screen sends to the exact re-rank.
+
+The ``sorted_tables`` row times the candidate collection alone on the
+venue-like index: the sorted-key (CSR) tables, one ``searchsorted`` per
+table over every probe key, against the ``{key: rows}`` dictionaries the
+index used to keep, one lookup per probe.  It checks both find the same
+pairs and records the tables' size and what an incremental insert costs.
+
+Rows land in BENCH_lsh.json via ``conftest.pytest_sessionfinish``.  Run from
+the repository root::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_lsh.py -q -s
 """
@@ -32,6 +40,7 @@ from repro.core import VisualPrintConfig
 from repro.features import SiftExtractor, SiftParams
 from repro.imaging.synth import SceneLibrary
 from repro.lsh import LshIndex
+from repro.parallel import default_workers
 from repro.wardrive import IndoorEnvironment
 
 # The reference is test-only code; make ``tests`` importable when pytest
@@ -40,7 +49,11 @@ _ROOT = str(Path(__file__).resolve().parent.parent)
 if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
 
-from tests.reference.lsh_query_reference import query_batch_reference  # noqa: E402
+from tests.reference.lsh_query_reference import (  # noqa: E402
+    candidate_pairs_dict_reference,
+    dict_tables,
+    query_batch_reference,
+)
 
 _BATCH = 60
 _REPEATS = 3
@@ -131,6 +144,7 @@ def _row(index: LshIndex, batches: list[np.ndarray], num_neighbors: int) -> dict
         "batched_ms_p90": round(float(np.percentile(new_ms, 90)), 2),
         "speedup_p50": round(float(np.median(ref_ms) / np.median(new_ms)), 2),
         "numpy": np.__version__,
+        "host_cpus": default_workers(),
     }
 
 
@@ -146,3 +160,51 @@ def test_lookup_venue_like(lsh_trajectory):
     row = _row(index, batches, num_neighbors=3)
     lsh_trajectory["venue_like_k3"] = row
     print(f"\nvenue_like: {row}")
+
+
+def test_sorted_tables(lsh_trajectory):
+    index, batches = _venue_like()
+    tables = dict_tables(index)
+    for batch in batches:
+        ours = index._candidate_pairs(batch)
+        theirs = candidate_pairs_dict_reference(index, tables, batch)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    dict_ms = _time(lambda b: candidate_pairs_dict_reference(index, tables, b), batches)
+    sorted_ms = _time(index._candidate_pairs, batches)
+
+    # Incremental insert of one 60-row batch into a copy of the full index:
+    # hashing the batch is O(batch), merging it into each table is O(N).
+    rows = np.vstack(batches)
+    insert_ms = []
+    for batch in batches[:5]:
+        grown = LshIndex(
+            params=index.params,
+            seed=index.projections.seed,
+            max_probes_per_table=index.max_probes_per_table,
+        )
+        grown.build(index._store[: index.size], index._ids_store[: index.size])
+        start = time.perf_counter()
+        grown.insert(batch, np.arange(batch.shape[0]))
+        insert_ms.append((time.perf_counter() - start) * 1e3)
+    row = {
+        "index_rows": index.size,
+        "tables": len(index._tables),
+        "buckets_per_table": round(
+            float(np.mean([table.keys.size for table in index._tables])), 1
+        ),
+        "bucket_bytes": sum(
+            table.keys.size * 16 + table.rows.nbytes for table in index._tables
+        ),
+        "batches": len(batches),
+        "descriptors_per_batch": round(rows.shape[0] / len(batches), 1),
+        "dict_candidates_ms_p50": round(float(np.median(dict_ms)), 3),
+        "sorted_candidates_ms_p50": round(float(np.median(sorted_ms)), 3),
+        "sorted_candidates_ms_p90": round(float(np.percentile(sorted_ms, 90)), 3),
+        "speedup_p50": round(float(np.median(dict_ms) / np.median(sorted_ms)), 2),
+        "insert_60_rows_ms_p50": round(float(np.median(insert_ms)), 3),
+        "numpy": np.__version__,
+        "host_cpus": default_workers(),
+    }
+    lsh_trajectory["sorted_tables_venue_like"] = row
+    print(f"\nsorted tables: {row}")
+

@@ -14,7 +14,9 @@ so future PRs can track the perf curve.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +24,14 @@ from repro.core.config import VisualPrintConfig
 from repro.core.oracle import UniquenessOracle
 from repro.evaluation.datasets import build_workload
 from repro.util.rng import rng_for
+
+# The scalar reference is test-only code; make ``tests`` importable when
+# pytest is started without the repository root on ``sys.path``.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+
+from tests.reference.oracle_reference import lookup_batch_reference  # noqa: E402
 
 _POOL_WORKERS = 4
 
@@ -82,7 +92,7 @@ def test_lookup_batch_vectorized(parallel_trajectory):
         ]
     ).astype(np.float32)
 
-    scalar, scalar_seconds = _timed(lambda: oracle._lookup_batch_scalar(queries))
+    scalar, scalar_seconds = _timed(lambda: lookup_batch_reference(oracle, queries))
     vectorized, vectorized_seconds = _timed(lambda: oracle.lookup_batch(queries))
 
     assert vectorized == scalar

@@ -20,7 +20,9 @@ single-core.  The end-to-end frame also banks the packed-counter oracle
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,14 @@ from repro.imaging import scene_image
 from repro.imaging.synth import BuildingMotifs
 from repro.lsh.buckets import QuantizedBuckets
 from repro.util.rng import rng_for
+
+# The reference kernels are test-only code; make ``tests`` importable when
+# pytest is started without the repository root on ``sys.path``.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+
+from tests.reference.oracle_reference import indices_reference  # noqa: E402
 
 _FRAME_SIZE = (256, 256)
 
@@ -71,7 +81,7 @@ def _counts_reference(
         unpacked = oracle.counting.counters
     estimate = np.full(quantized.num_items, np.iinfo(np.int64).max, dtype=np.int64)
     for table, family in enumerate(oracle._families):
-        indices = family.indices_reference(quantized.table_vectors(table))
+        indices = indices_reference(family, quantized.table_vectors(table))
         np.minimum(
             estimate, unpacked[indices].min(axis=1).astype(np.int64), out=estimate
         )

@@ -40,9 +40,9 @@ from repro.bloom.container import (
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.verification import VerificationBloomFilter
 from repro.core.config import VisualPrintConfig
-from repro.hashing.families import Murmur3Family
+from repro.hashing.families import Murmur3Family, stacked_indices
 from repro.lsh.buckets import QuantizedBuckets
-from repro.lsh.multiprobe import perturbation_sets, ranked_perturbations
+from repro.lsh.multiprobe import ranked_perturbations
 from repro.lsh.projections import StableProjections
 from repro.obs import MetricsRegistry, Tracer, resolve_registry
 
@@ -70,24 +70,19 @@ def _build_hasher(
 _WORKER_HASHERS: dict[VisualPrintConfig, tuple[StableProjections, list[Murmur3Family]]] = {}
 
 
-def _hash_wardrive_batch(
-    config: VisualPrintConfig, descriptors: np.ndarray
-) -> list[np.ndarray]:
+def _hash_wardrive_batch(config: VisualPrintConfig, descriptors: np.ndarray) -> np.ndarray:
     """Quantize + hash one ingest batch (the CPU-bound part of insert).
 
     Pure function of (config, descriptors) so it can run in any pool
-    worker; returns the per-table ``(n, K)`` counter-index arrays the
-    parent applies to its filters.
+    worker; returns the ``(L, n, K)`` counter indices (every table in one
+    Murmur-3 pass) the parent applies to its filters.
     """
     cached = _WORKER_HASHERS.get(config)
     if cached is None:
         cached = _WORKER_HASHERS[config] = _build_hasher(config)
     projections, families = cached
     quantized = QuantizedBuckets(projections.quantize(descriptors))
-    return [
-        family.indices(quantized.table_vectors(table))
-        for table, family in enumerate(families)
-    ]
+    return stacked_indices(families, quantized.all_vectors())
 
 
 @dataclass(frozen=True)
@@ -216,18 +211,21 @@ class UniquenessOracle:
 
     def _insert_batch(self, descriptors: np.ndarray) -> None:
         quantized = QuantizedBuckets(self.projections.quantize(descriptors))
-        table_indices = [
-            family.indices(quantized.table_vectors(table))
-            for table, family in enumerate(self._families)
-        ]
-        self._apply_hashed(table_indices, descriptors.shape[0])
+        self._apply_hashed(
+            stacked_indices(self._families, quantized.all_vectors()),
+            descriptors.shape[0],
+        )
 
-    def _apply_hashed(
-        self, table_indices: list[np.ndarray], num_descriptors: int
-    ) -> None:
-        """Apply precomputed per-table ``(n, K)`` indices to the filters."""
+    def _apply_hashed(self, table_indices: np.ndarray, num_descriptors: int) -> None:
+        """Apply precomputed ``(L, n, K)`` indices to the filters.
+
+        The counters take every table's bumps at once (saturating bumps
+        commute, so they end as per-table bumping leaves them); the
+        verification filter hashes one table's position tuples at a
+        time, which bounds its scratch memory to one table's worth.
+        """
+        self.counting.bump_counters(table_indices.ravel())
         for indices in table_indices:
-            self.counting.bump_counters(indices.ravel())
             self.verification.add(indices)
         self._inserted += num_descriptors
 
@@ -288,14 +286,8 @@ class UniquenessOracle:
 
     def _counts_from_quantized(self, quantized: QuantizedBuckets) -> np.ndarray:
         """Min-counter estimate for already-quantized descriptors."""
-        estimate = np.full(
-            quantized.num_items, np.iinfo(np.int64).max, dtype=np.int64
-        )
-        for table, family in enumerate(self._families):
-            indices = family.indices(quantized.table_vectors(table))
-            table_min = self.counting.count_from_indices(indices)
-            np.minimum(estimate, table_min, out=estimate)
-        return estimate
+        indices = stacked_indices(self._families, quantized.all_vectors())
+        return self.counting.gather(indices).min(axis=(0, 2))
 
     def counts(self, descriptors: np.ndarray) -> np.ndarray:
         """Commonness estimate per descriptor (vectorized hot path).
@@ -339,17 +331,16 @@ class UniquenessOracle:
         negative case); either way the verification filter must confirm
         the probe's position tuple.
 
-        Fully vectorized: per table, the perturbation schedules for the
-        whole batch come from one ranked argsort
+        Fully vectorized: the perturbation schedules of every table for
+        the whole batch come from one ranked argsort
         (:func:`repro.lsh.multiprobe.ranked_perturbations`), every probe
-        of every descriptor is Murmur-hashed in one
-        ``(n * (P + 1), M)`` pass, and counters resolve with one gather.
-        The scalar walk stopped at the first accepting probe per table;
-        here all probes are evaluated and the first accept selected by
-        ``argmax`` — same outcome, including which vetoes are counted
-        (only those before the first accept).  Bit-equivalent to
-        :meth:`_lookup_batch_scalar`, the retained reference
-        implementation.
+        of every descriptor in every table is Murmur-hashed in one
+        ``(L, n * (P + 1), M)`` pass, and counters resolve with one
+        gather.  A per-row walk would stop at the first accepting probe
+        per table; here all probes are evaluated and the first accept
+        selected by ``argmax`` — same outcome, including which vetoes
+        are counted (only those before the first accept).  The per-row
+        walk is the parity reference in ``tests/reference/``.
 
         One ``oracle.lookup_batch`` span covers the whole batch (span
         cost amortizes over the rows, keeping the hot path inside the
@@ -380,121 +371,51 @@ class UniquenessOracle:
         if num == 0:
             return []
         buckets, residuals = self.projections.quantize_with_residuals(descriptors)
-        quantized = QuantizedBuckets(buckets)
-        counts = self._counts_from_quantized(quantized)
-        num_hashes = self.config.bloom_hashes
-        quorum = (self.config.lsh.num_tables + 1) // 2
-        accepting_tables = np.zeros(num, dtype=np.int64)
-        used_multiprobe = np.zeros(num, dtype=bool)
-        multiprobe_accepts = 0
-        verification_vetoes = 0
-        for table, family in enumerate(self._families):
-            projections, deltas = ranked_perturbations(
-                residuals[:, table, :], self.config.max_probes_per_table
-            )
-            probes = quantized.probe_vectors(table, projections, deltas)
-            num_slots = probes.shape[1]  # original + P perturbations
-            indices = family.indices(probes.reshape(num * num_slots, -1))
-            probed = self.counting.gather(indices)
-            nonzero = (probed > 0).sum(axis=1)
-            match = (nonzero == num_hashes) | (nonzero == num_hashes - 1)
-            verified = self.verification.verify(indices)
-            accept = (match & verified).reshape(num, num_slots)
-            veto = (match & ~verified).reshape(num, num_slots)
-            any_accept = accept.any(axis=1)
-            first_accept = np.argmax(accept, axis=1)
-            # Vetoes are only observed up to (not including) the first
-            # accepting probe — the scalar walk broke out there.
-            cutoff = np.where(any_accept, first_accept, num_slots)
-            slot_index = np.arange(num_slots)[np.newaxis, :]
-            verification_vetoes += int(
-                (veto & (slot_index < cutoff[:, np.newaxis])).sum()
-            )
-            perturbed_accept = any_accept & (first_accept > 0)
-            accepting_tables += any_accept
-            used_multiprobe |= perturbed_accept
-            multiprobe_accepts += int(perturbed_accept.sum())
+        projections, deltas = ranked_perturbations(
+            residuals.transpose(1, 0, 2), self.config.max_probes_per_table
+        )
+        # (L, n, S, M): slot 0 is the original bucket, then P perturbations.
+        probes = QuantizedBuckets(buckets).probe_vectors(projections, deltas)
+        num_tables, _, num_slots, num_projections = probes.shape
+        indices = stacked_indices(
+            self._families, probes.reshape(num_tables, num * num_slots, num_projections)
+        )
+        num_hashes = indices.shape[-1]
+        probed = self.counting.gather(indices).reshape(
+            num_tables, num, num_slots, num_hashes
+        )
+        # The original buckets' counters are exactly what counts() probes.
+        counts = probed[:, :, 0, :].min(axis=(0, 2))
+        nonzero = (probed > 0).sum(axis=3)
+        match = (nonzero == num_hashes) | (nonzero == num_hashes - 1)
+        verified = self.verification.verify(indices.reshape(-1, num_hashes)).reshape(
+            match.shape
+        )
+        accept = match & verified
+        veto = match & ~verified
+        any_accept = accept.any(axis=2)
+        first_accept = np.argmax(accept, axis=2)
+        # Vetoes are only observed up to (not including) the first
+        # accepting probe — the scalar walk broke out there.
+        cutoff = np.where(any_accept, first_accept, num_slots)
+        verification_vetoes = int(
+            (veto & (np.arange(num_slots) < cutoff[:, :, np.newaxis])).sum()
+        )
+        perturbed_accept = any_accept & (first_accept > 0)
+        multiprobe_accepts = int(perturbed_accept.sum())
+        # Presence needs a quorum of tables: with coarse quantization
+        # (W = 500) a few "hotspot" buckets absorb many descriptors, so a
+        # single-table accept is exactly the LSH/Bloom-interplay false
+        # positive the paper warns about.
+        quorum = (num_tables + 1) // 2
+        present = any_accept.sum(axis=0) >= quorum
+        used_multiprobe = perturbed_accept.any(axis=0)
         results = [
-            OracleLookup(
-                count=int(counts[row]),
-                present=bool(accepting_tables[row] >= quorum),
-                used_multiprobe=bool(used_multiprobe[row]),
+            OracleLookup(count=count, present=is_present, used_multiprobe=multiprobe)
+            for count, is_present, multiprobe in zip(
+                counts.tolist(), present.tolist(), used_multiprobe.tolist()
             )
-            for row in range(num)
         ]
-        self._m_lookup_seconds.observe(time.perf_counter() - start)
-        self._m_lookups_total.inc(num)
-        if multiprobe_accepts:
-            self._m_multiprobe_accepts.inc(multiprobe_accepts)
-        if verification_vetoes:
-            self._m_verification_vetoes.inc(verification_vetoes)
-        return results
-
-    def _lookup_batch_scalar(self, descriptors: np.ndarray) -> list[OracleLookup]:
-        """Reference per-row implementation of :meth:`lookup_batch`.
-
-        The pre-vectorization probe walk, kept (a) as the ground truth
-        the property tests compare the vectorized path against and (b)
-        as the baseline the ``bench_parallel`` trajectory measures.
-        """
-        start = time.perf_counter()
-        descriptors = np.asarray(descriptors, dtype=np.float32)
-        if descriptors.ndim != 2:
-            raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        num = descriptors.shape[0]
-        if num == 0:
-            return []
-        buckets, residuals = self.projections.quantize_with_residuals(descriptors)
-        quantized = QuantizedBuckets(buckets)
-        counts = self._counts_from_quantized(quantized)
-        counters = self.counting.counters
-        quorum = (self.config.lsh.num_tables + 1) // 2
-        multiprobe_accepts = 0
-        verification_vetoes = 0
-        results: list[OracleLookup] = []
-        for row in range(num):
-            row_quantized = QuantizedBuckets(buckets[row : row + 1])
-            accepting_tables = 0
-            used_multiprobe = False
-            for table, family in enumerate(self._families):
-                probes: list[tuple[np.ndarray, bool]] = [
-                    (row_quantized.table_vectors(table)[0], False)
-                ]
-                for projection, delta in perturbation_sets(
-                    residuals[row, table, :], self.config.max_probes_per_table
-                ):
-                    probes.append(
-                        (row_quantized.perturbed(table, projection, delta)[0], True)
-                    )
-                for vector, is_probe in probes:
-                    indices = family.indices(vector[np.newaxis, :])
-                    probed = counters[indices[0]]
-                    nonzero = int((probed > 0).sum())
-                    full_match = nonzero == self.config.bloom_hashes
-                    partial_match = nonzero == self.config.bloom_hashes - 1
-                    if not (full_match or partial_match):
-                        continue
-                    if not bool(self.verification.verify(indices)[0]):
-                        verification_vetoes += 1
-                        continue
-                    accepting_tables += 1
-                    if is_probe:
-                        used_multiprobe = True
-                        multiprobe_accepts += 1
-                    break  # original bucket first; stop at the first accept
-            # Presence needs a quorum of tables: with coarse quantization
-            # (W = 500) a few "hotspot" buckets absorb many descriptors,
-            # so a single-table accept is exactly the LSH/Bloom-interplay
-            # false positive the paper warns about.  Requiring agreement
-            # from half the tables mirrors the median aggregation of
-            # :meth:`counts`.
-            results.append(
-                OracleLookup(
-                    count=int(counts[row]),
-                    present=accepting_tables >= quorum,
-                    used_multiprobe=used_multiprobe,
-                )
-            )
         self._m_lookup_seconds.observe(time.perf_counter() - start)
         self._m_lookups_total.inc(num)
         if multiprobe_accepts:

@@ -73,6 +73,9 @@ class VisualPrintServer:
         self.intrinsics = intrinsics or CameraIntrinsics()
         self._descriptors: list[np.ndarray] = []
         self._positions: list[np.ndarray] = []
+        # All positions as one array, for the per-query gather; rebuilt
+        # lazily after an ingest or a restore.
+        self._position_cache: np.ndarray | None = None
         self._bounds = bounds
         self._localizer = AngularLocalizer(seed=self.config.seed)
         self._m_ingest_seconds = self._registry.histogram(
@@ -138,8 +141,11 @@ class VisualPrintServer:
 
         "As new keypoint-to-location mappings can be incorporated
         continuously, in constant time and memory" — both the oracle and
-        the LSH lookup table are updated incrementally; only the new
-        batch is hashed (see :meth:`repro.lsh.LshIndex.insert`).
+        the LSH lookup table are updated incrementally, and only the new
+        batch is hashed: O(batch) hashing for the oracle's counters and
+        the table's keys.  The lookup table's sorted bucket arrays are
+        merged with the batch, which costs O(N) copying per call for N
+        mappings (see :meth:`repro.lsh.LshIndex.insert`).
         """
         descriptors = np.asarray(descriptors, dtype=np.float32)
         positions_3d = np.asarray(positions_3d, dtype=np.float64)
@@ -149,6 +155,7 @@ class VisualPrintServer:
             start_row = self.num_mappings
             self._descriptors.append(descriptors)
             self._positions.append(positions_3d)
+            self._position_cache = None
             self.oracle.insert(descriptors)
             self.lookup.insert(
                 descriptors,
@@ -201,6 +208,7 @@ class VisualPrintServer:
             if not (np.isfinite(low).all() and np.isfinite(high).all()):
                 raise SnapshotCorruptError("restored bounds are non-finite")
             self._bounds = (low, high)
+        self._position_cache = None
         if descriptors.shape[0]:
             self._descriptors = [descriptors.copy()]
             self._positions = [positions.copy()]
@@ -213,11 +221,16 @@ class VisualPrintServer:
     def num_mappings(self) -> int:
         return sum(d.shape[0] for d in self._descriptors)
 
+    def _position_table(self) -> np.ndarray:
+        if self._position_cache is None:
+            self._position_cache = (
+                np.vstack(self._positions) if self._positions else np.empty((0, 3))
+            )
+        return self._position_cache
+
     @property
     def positions(self) -> np.ndarray:
-        if not self._positions:
-            return np.empty((0, 3))
-        return np.vstack(self._positions)
+        return self._position_table().copy()
 
     @property
     def descriptors(self) -> np.ndarray:
@@ -230,7 +243,7 @@ class VisualPrintServer:
         """Venue extents for the solver's search box."""
         if self._bounds is not None:
             return self._bounds
-        positions = self.positions
+        positions = self._position_table()
         if positions.shape[0] == 0:
             return np.zeros(3), np.ones(3)
         return positions.min(axis=0) - 1.0, positions.max(axis=0) + 1.0
@@ -272,18 +285,21 @@ class VisualPrintServer:
 
     def _localize(self, fingerprint: Fingerprint) -> LocalizationAnswer:
         low, high = self.bounds()
-        positions = self.positions
-        matches = self.lookup.query_batch(
-            fingerprint.keypoints.descriptors,
-            num_neighbors=self.config.nearest_neighbors_per_keypoint,
-        )
-        pixel_rows: list[int] = []
-        point_rows: list[int] = []
-        for row, row_matches in enumerate(matches):
-            for match in row_matches:
-                pixel_rows.append(row)
-                point_rows.append(match.item_id)
-        matched = len(point_rows)
+        with self.tracer.span("localize.match"):
+            matches = self.lookup.query_batch(
+                fingerprint.keypoints.descriptors,
+                num_neighbors=self.config.nearest_neighbors_per_keypoint,
+            )
+            # One entry per match, keypoint-major: each keypoint's
+            # neighbours stay in closest-descriptor-first order.
+            per_keypoint = np.fromiter(map(len, matches), np.int64, len(matches))
+            pixel_rows = np.repeat(np.arange(len(matches)), per_keypoint)
+            point_rows = np.fromiter(
+                (match.item_id for row in matches for match in row),
+                np.int64,
+                pixel_rows.size,
+            )
+        matched = int(pixel_rows.size)
         if matched == 0:
             center = (low + high) / 2.0
             fallback = LocalizationSolution(
@@ -299,36 +315,31 @@ class VisualPrintServer:
                 clustered_points=0,
             )
 
-        candidate_points = positions[point_rows]
-        kept = largest_cluster(
-            candidate_points,
-            eps=self.config.cluster_radius,
-            min_samples=self.config.min_cluster_size,
-        )
-        if kept.size < 3:
-            kept = np.arange(candidate_points.shape[0])
-        # One 3D point per keypoint: if several of a keypoint's neighbors
-        # survive clustering, keep its closest-descriptor match (first).
-        pixels = fingerprint.keypoints.positions
-        seen: set[int] = set()
-        final_pixels: list[np.ndarray] = []
-        final_points: list[np.ndarray] = []
-        for index in kept:
-            keypoint_row = pixel_rows[index]
-            if keypoint_row in seen:
-                continue
-            seen.add(keypoint_row)
-            final_pixels.append(pixels[keypoint_row])
-            final_points.append(candidate_points[index])
+        with self.tracer.span("localize.cluster"):
+            candidate_points = self._position_table()[point_rows]
+            kept = largest_cluster(
+                candidate_points,
+                eps=self.config.cluster_radius,
+                min_samples=self.config.min_cluster_size,
+            )
+            if kept.size < 3:
+                kept = np.arange(candidate_points.shape[0])
+            # One 3D point per keypoint: if several of a keypoint's
+            # neighbors survive clustering, keep its closest-descriptor
+            # match, the first.  ``kept`` ascends and ``pixel_rows`` is
+            # keypoint-major, so the first occurrences come out in order.
+            _, first = np.unique(pixel_rows[kept], return_index=True)
+            chosen = kept[first]
 
-        problem = LocalizationProblem(
-            pixels=np.array(final_pixels),
-            world_points=np.array(final_points),
-            intrinsics=self.intrinsics,
-            bounds_low=low,
-            bounds_high=high,
-        )
-        solution = self._localizer.solve(problem)
+        with self.tracer.span("localize.solve"):
+            problem = LocalizationProblem(
+                pixels=fingerprint.keypoints.positions[pixel_rows[chosen]],
+                world_points=candidate_points[chosen],
+                intrinsics=self.intrinsics,
+                bounds_low=low,
+                bounds_high=high,
+            )
+            solution = self._localizer.solve(problem)
         return LocalizationAnswer(
             pose=solution.pose,
             solution=solution,

@@ -16,10 +16,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.hashing.murmur3 import murmur3_32_vectors, murmur3_32_vectors_multiseed
+from repro.hashing.murmur3 import murmur3_32_vectors_multiseed
 from repro.util.validation import check_positive
 
-__all__ = ["HashFamily", "Murmur3Family", "MultiplyShiftFamily"]
+__all__ = ["HashFamily", "Murmur3Family", "MultiplyShiftFamily", "stacked_indices"]
 
 
 class HashFamily(ABC):
@@ -48,24 +48,10 @@ class Murmur3Family(HashFamily):
         self.base_seed = int(base_seed)
 
     def indices(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.ascontiguousarray(vectors, dtype=np.uint32)
+        vectors = np.asarray(vectors, dtype=np.uint32)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
-        seeds = self.base_seed + np.arange(self.num_hashes, dtype=np.int64)
-        hashes = murmur3_32_vectors_multiseed(vectors, seeds).T.astype(np.uint64)
-        return (hashes % np.uint64(self.table_size)).astype(np.int64)
-
-    def indices_reference(self, vectors: np.ndarray) -> np.ndarray:
-        """One murmur pass per seed — the pre-batched reference for parity."""
-        vectors = np.ascontiguousarray(vectors, dtype=np.uint32)
-        if vectors.ndim != 2:
-            raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
-        columns = [
-            murmur3_32_vectors(vectors, seed=self.base_seed + k)
-            for k in range(self.num_hashes)
-        ]
-        hashes = np.stack(columns, axis=1).astype(np.uint64)
-        return (hashes % np.uint64(self.table_size)).astype(np.int64)
+        return stacked_indices([self], vectors[np.newaxis])[0]
 
 
 class MultiplyShiftFamily(HashFamily):
@@ -108,3 +94,28 @@ class MultiplyShiftFamily(HashFamily):
                 out[:, k] = ((combined >> np.uint64(16)).astype(np.uint64)
                              % np.uint64(self.table_size)).astype(np.int64)
         return out
+
+
+def stacked_indices(families: list[Murmur3Family], vectors: np.ndarray) -> np.ndarray:
+    """``(L, n, K)`` indices: ``families[t].indices(vectors[t])`` for every ``t``.
+
+    ``vectors`` is ``(L, n, words)``, one slab per family; all families
+    must share ``num_hashes`` and ``table_size``.  Every family's seeds
+    go through one Murmur-3 pass over all slabs, bit-identical to the
+    per-family calls.
+    """
+    table_size = families[0].table_size
+    if any(
+        family.num_hashes != families[0].num_hashes or family.table_size != table_size
+        for family in families
+    ):
+        raise ValueError("stacked families must share num_hashes and table_size")
+    seeds = np.array(
+        [family.base_seed + np.arange(family.num_hashes) for family in families],
+        dtype=np.int64,
+    )
+    hashes = murmur3_32_vectors_multiseed(vectors, seeds)
+    if table_size <= 0xFFFFFFFF:  # else every 32-bit hash is its own index
+        np.remainder(hashes, np.uint32(table_size), out=hashes)
+    # One pass to the (L, n, K) int64 layout callers gather and ravel.
+    return hashes.transpose(0, 2, 1).astype(np.int64, order="C")

@@ -71,12 +71,14 @@ def _rotl32_array(values: np.ndarray, shift: int) -> np.ndarray:
     return (values << np.uint32(shift)) | (values >> np.uint32(32 - shift))
 
 
-def _fmix32_array(values: np.ndarray) -> np.ndarray:
-    values = values ^ (values >> np.uint32(16))
-    values = values * np.uint32(0x85EBCA6B)
-    values = values ^ (values >> np.uint32(13))
-    values = values * np.uint32(0xC2B2AE35)
-    values = values ^ (values >> np.uint32(16))
+def _fmix32_inplace(values: np.ndarray, spill: np.ndarray) -> np.ndarray:
+    """Murmur-3's finalizer, overwriting ``values``; ``spill`` is scratch."""
+    for shift, multiplier in ((16, 0x85EBCA6B), (13, 0xC2B2AE35)):
+        np.right_shift(values, np.uint32(shift), out=spill)
+        values ^= spill
+        values *= np.uint32(multiplier)
+    np.right_shift(values, np.uint32(16), out=spill)
+    values ^= spill
     return values
 
 
@@ -105,39 +107,59 @@ def murmur3_32_vectors(blocks: np.ndarray, seed: int = 0) -> np.ndarray:
             state = _rotl32_array(state, 13)
             state = state * np.uint32(5) + np.uint32(0xE6546B64)
         state ^= np.uint32(4 * n_words)
-        return _fmix32_array(state)
+        return _fmix32_inplace(state, np.empty_like(state))
 
 
 def murmur3_32_vectors_multiseed(blocks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Hash each row of ``blocks`` under every seed in ``seeds`` at once.
 
-    Returns shape ``(len(seeds), n)`` where row ``s`` equals
-    ``murmur3_32_vectors(blocks, seed=seeds[s])`` bit for bit: the mixing
-    of each input word into a per-chunk key is seed-independent, so it is
-    computed once and broadcast into all seed states — the per-word ops
-    are identical to the single-seed path, just stacked.
+    With ``blocks`` of shape ``(n, words)`` and ``seeds`` of shape ``(K,)``
+    returns ``(K, n)``: row ``s`` equals
+    ``murmur3_32_vectors(blocks, seed=seeds[s])`` bit for bit.  A leading
+    table axis hashes several tables in the same pass: ``blocks`` of shape
+    ``(L, n, words)`` with ``seeds`` of shape ``(L, K)`` returns
+    ``(L, K, n)``, table ``t`` hashed under its own seeds ``seeds[t]``.
 
-    A Bloom hash family needs K seeds over the *same* vectors, so this
-    turns K full passes (each re-mixing every input word) into one.
+    The mixing of each input word into a per-chunk key is
+    seed-independent, so it is computed once for every word and broadcast
+    into all seed states; the per-word ops are those of the single-seed
+    path, just stacked.  A Bloom hash family needs K seeds over the
+    *same* vectors, and the oracle and the LSH index need them for every
+    table, so this turns ``L * K`` full passes into one.
     """
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint32)
-    if blocks.ndim != 2:
-        raise ValueError(f"blocks must be 2-D (n, words), got shape {blocks.shape}")
+    blocks = np.asarray(blocks, dtype=np.uint32)
     seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1:
-        raise ValueError(f"seeds must be 1-D, got shape {seeds.shape}")
-    n_rows, n_words = blocks.shape
+    stacked = blocks.ndim == 3
+    if not stacked:
+        if blocks.ndim != 2:
+            raise ValueError(f"blocks must be 2-D (n, words), got shape {blocks.shape}")
+        if seeds.ndim != 1:
+            raise ValueError(f"seeds must be 1-D, got shape {seeds.shape}")
+        blocks, seeds = blocks[np.newaxis], seeds[np.newaxis]
+    elif seeds.ndim != 2 or seeds.shape[0] != blocks.shape[0]:
+        raise ValueError(
+            f"seeds must be (L, K) for blocks of shape {blocks.shape}, "
+            f"got shape {seeds.shape}"
+        )
+    num_tables, n_rows, n_words = blocks.shape
 
     with np.errstate(over="ignore"):
-        state = np.empty((seeds.shape[0], n_rows), dtype=np.uint32)
-        state[:] = (seeds & _MASK32).astype(np.uint32)[:, None]
+        # Every word's chunk key at once, laid out word-major so each
+        # round reads one contiguous (L, n) slice.
+        keys = np.moveaxis(blocks, -1, 0).copy(order="C")
+        keys *= np.uint32(_C1)
+        keys = _rotl32_array(keys, 15)
+        keys *= np.uint32(_C2)
+        state = np.empty((num_tables, seeds.shape[1], n_rows), dtype=np.uint32)
+        state[:] = (seeds & _MASK32).astype(np.uint32)[:, :, np.newaxis]
+        spill = np.empty_like(state)
         for word_index in range(n_words):
-            block = blocks[:, word_index].copy()
-            block *= np.uint32(_C1)
-            block = _rotl32_array(block, 15)
-            block *= np.uint32(_C2)
-            state ^= block[None, :]
-            state = _rotl32_array(state, 13)
-            state = state * np.uint32(5) + np.uint32(0xE6546B64)
+            state ^= keys[word_index][:, np.newaxis, :]
+            np.right_shift(state, np.uint32(19), out=spill)
+            state <<= np.uint32(13)
+            state |= spill
+            state *= np.uint32(5)
+            state += np.uint32(0xE6546B64)
         state ^= np.uint32(4 * n_words)
-        return _fmix32_array(state)
+        hashes = _fmix32_inplace(state, spill)
+    return hashes if stacked else hashes[0]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 from scipy import optimize
@@ -78,6 +79,12 @@ def _ray_directions(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndar
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
+def _perceived_angles(rays: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Per-pair angle between viewing rays: pose-free, from pixels alone."""
+    cos_perceived = np.clip((rays[pairs[:, 0]] * rays[pairs[:, 1]]).sum(1), -1, 1)
+    return np.arccos(cos_perceived)
+
+
 def _angular_residuals(
     world_points: np.ndarray, rays: np.ndarray, pairs: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -86,9 +93,7 @@ def _angular_residuals(
     A single position gives ``(num_pairs,)`` residuals (the polish); a
     ``(members, 3)`` population gives ``(members, num_pairs)`` in one pass.
     """
-    # Perceived angle per pair: pose-free, from pixels alone.
-    cos_perceived = np.clip((rays[pairs[:, 0]] * rays[pairs[:, 1]]).sum(1), -1, 1)
-    perceived = np.arccos(cos_perceived)
+    perceived = _perceived_angles(rays, pairs)
     # Coordinates on the leading axis: sums over x/y/z become row adds.
     points_i = np.ascontiguousarray(world_points[pairs[:, 0]].T)
     points_j = np.ascontiguousarray(world_points[pairs[:, 1]].T)
@@ -106,12 +111,78 @@ def _angular_residuals(
     return residuals
 
 
-def _soft_l1_energy(residuals: np.ndarray) -> np.ndarray:
-    """Soft-L1 cost summed over the last axis.
+def _population_energy(
+    world_points: np.ndarray, rays: np.ndarray, pairs: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Soft-L1 energy of each member of a ``(members, 3)`` population.
 
-    Soft-L1 keeps stray wrong matches from dominating the basin.
+    The same angles as :func:`_angular_residuals` in the expanded (Gram)
+    form: with ``a`` the camera position, ``|p - a|^2 = |p|^2 - 2 a.p +
+    |a|^2`` and ``(p_i - a).(p_j - a) = p_i.p_j - a.(p_i + p_j) + |a|^2``.
+    ``|p|^2`` and ``p_i.p_j`` are fixed per problem, so one product of a
+    ``(3 * pairs, 5)`` coefficient matrix with the members' ``(a, 1,
+    |a|^2)`` columns gives every squared distance and every ray dot
+    product at once, and a generation costs that product plus a few
+    in-place ``(pairs, members)`` passes instead of ``(members, 3,
+    pairs)`` differences.  Squared distances are clamped at 0 before the
+    square root, since rounding can take them just below it when a
+    member sits on a world point; the product of the distances keeps the
+    direct form's ``1e-9`` floor.
     """
-    return np.sum(2.0 * (np.sqrt(1.0 + residuals**2) - 1.0), axis=-1)
+    perceived = _perceived_angles(rays, pairs)[:, np.newaxis]
+    num_pairs = pairs.shape[0]
+    # Angles do not change under translation; measuring from the points'
+    # centroid keeps the squared terms small, so the expanded form
+    # cancels less.
+    origin = world_points.mean(axis=0)
+    ends_i = world_points[pairs[:, 0]] - origin
+    ends_j = world_points[pairs[:, 1]] - origin
+    ends = np.concatenate((ends_i, ends_j))
+    # Rows: |p_i - a|^2, then |p_j - a|^2, then (p_i - a).(p_j - a).
+    coefficients = np.hstack(
+        (
+            np.concatenate((-2.0 * ends, -(ends_i + ends_j))),
+            np.concatenate(((ends * ends).sum(1), (ends_i * ends_j).sum(1)))[:, None],
+            np.ones((3 * num_pairs, 1)),
+        )
+    )
+
+    def energy(positions: np.ndarray) -> np.ndarray:
+        columns = np.empty((5, positions.shape[0]))
+        columns[:3] = (positions - origin).T
+        columns[3] = 1.0
+        columns[4] = (columns[:3] * columns[:3]).sum(0)
+        terms = coefficients @ columns  # (3 * pairs, members), pair-major
+        distances = terms[: 2 * num_pairs]
+        np.maximum(distances, 0.0, out=distances)
+        safe = distances[:num_pairs] * distances[num_pairs:]
+        np.sqrt(safe, out=safe)
+        np.maximum(safe, 1e-9, out=safe)
+        cosines = terms[2 * num_pairs :]
+        cosines /= safe
+        np.minimum(cosines, 1.0, out=cosines)
+        np.maximum(cosines, -1.0, out=cosines)
+        residuals = np.arccos(cosines, out=cosines)
+        residuals -= perceived
+        return _soft_l1_energy(residuals.T)
+
+    return energy
+
+
+def _soft_l1_energy(residuals: np.ndarray) -> np.ndarray:
+    """Soft-L1 cost ``2 (sqrt(1 + r^2) - 1)`` summed over the last axis.
+
+    Soft-L1 keeps stray wrong matches from dominating the basin.  The
+    doubling is applied to the sums: scaling by 2 is exact, so this is
+    the per-term form bit for bit.
+    """
+    cost = np.square(residuals)
+    cost += 1.0
+    np.sqrt(cost, out=cost)
+    cost -= 1.0
+    total = cost.sum(axis=-1)
+    total *= 2.0
+    return total
 
 
 class AngularLocalizer:
@@ -153,8 +224,9 @@ class AngularLocalizer:
         pairs = self._select_pairs(problem.num_points, rng)
         rays = _ray_directions(problem.pixels, problem.intrinsics)
         residuals = _angular_residuals(problem.world_points, rays, pairs)
+        energy = _population_energy(problem.world_points, rays, pairs)
         start, spread_stop = self._evolve(
-            residuals, problem.bounds_low, problem.bounds_high, rng
+            energy, problem.bounds_low, problem.bounds_high, rng
         )
         polish = optimize.least_squares(
             residuals,
@@ -177,47 +249,60 @@ class AngularLocalizer:
 
     def _evolve(
         self,
-        residuals: Callable[[np.ndarray], np.ndarray],
+        energy: Callable[[np.ndarray], np.ndarray],
         low: np.ndarray,
         high: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, bool]:
         """Bounded best1bin differential evolution over the whole population.
 
-        Members live in the unit cube and every generation is scored in
-        one broadcast ``residuals`` pass.  Returns the best position and
-        whether the population's energy spread fell below tolerance
-        (False when the generation budget ran out first).
+        Members live in the unit cube and every generation is scored by
+        one ``energy`` call over the ``(members, 3)`` positions.  Returns
+        the best position and whether the population's energy spread fell
+        below tolerance (False when the generation budget ran out first).
         """
         span = high - low
-        size = self.de_population * low.size
+        dims = low.size
+        size = self.de_population * dims
         members = np.arange(size)
         # Latin hypercube: one member per stratum on each axis.
-        strata = (members[:, None] + rng.uniform(size=(size, low.size))) / size
+        strata = (members[:, None] + rng.uniform(size=(size, dims))) / size
         unit = rng.permuted(strata, axis=0)
-        energy = _soft_l1_energy(residuals(low + unit * span))
+        scores = energy(low + unit * span)
+        best = int(np.argmin(scores))
         for _ in range(self.de_max_iterations):
             # Two distinct donors per member, neither the member itself.
             first = rng.integers(1, size, size)
             second = rng.integers(1, size - 1, size)
             second += second >= first
-            donor_a, donor_b = (members + first) % size, (members + second) % size
+            first += members
+            second += members
+            first %= size
+            second %= size
             scale = rng.uniform(0.5, 1.0)  # dithered once per generation
-            mutant = unit[np.argmin(energy)] + scale * (unit[donor_a] - unit[donor_b])
+            mutant = unit[first]
+            mutant -= unit[second]
+            mutant *= scale
+            mutant += unit[best]
             cross = rng.uniform(size=unit.shape) < _CROSSOVER
-            cross[members, rng.integers(0, low.size, size)] = True
+            cross[members, rng.integers(0, dims, size)] = True
             trial = np.where(cross, mutant, unit)
             # Out-of-box coordinates are re-drawn uniformly, never clipped:
             # clipping piles trials onto the box faces and biases the search.
             outside = (trial < 0.0) | (trial > 1.0)
             trial[outside] = rng.uniform(size=np.count_nonzero(outside))
-            trial_energy = _soft_l1_energy(residuals(low + trial * span))
-            accept = trial_energy <= energy
+            trial_scores = energy(low + trial * span)
+            accept = trial_scores <= scores
             unit[accept] = trial[accept]
-            energy[accept] = trial_energy[accept]
-            if np.std(energy) <= _SPREAD_TOLERANCE * abs(np.mean(energy)):
-                return low + unit[np.argmin(energy)] * span, True
-        return low + unit[np.argmin(energy)] * span, False
+            scores[accept] = trial_scores[accept]
+            best = int(np.argmin(scores))
+            # np.std and np.mean, bit for bit, without their dispatch.
+            mean = scores.sum() / size
+            deviations = scores - mean
+            deviations *= deviations
+            if sqrt(deviations.sum() / size) <= _SPREAD_TOLERANCE * abs(mean):
+                return low + unit[best] * span, True
+        return low + unit[best] * span, False
 
     @staticmethod
     def _recover_orientation(

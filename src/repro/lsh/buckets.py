@@ -17,10 +17,15 @@ __all__ = ["QuantizedBuckets"]
 _BUCKET_BIAS = np.int64(1 << 20)
 
 
-def _bucket_keys(vectors: np.ndarray, seed: int) -> np.ndarray:
-    """64-bit keys of ``(n, M)`` uint32 vectors: Murmur-3 low and high words."""
-    low, high = murmur3_32_vectors_multiseed(vectors, np.array([seed, seed + 1]))
-    return (high.astype(np.uint64) << np.uint64(32)) | low.astype(np.uint64)
+def _bucket_keys(vectors: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """64-bit keys of ``(L, n, M)`` uint32 vectors, one table per slab.
+
+    Table ``t`` takes its low and high Murmur-3 words under seeds
+    ``seeds[t]`` and ``seeds[t] + 1``, all tables in one pass.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64)[:, np.newaxis] + np.arange(2)
+    words = murmur3_32_vectors_multiseed(vectors, seeds).astype(np.uint64)
+    return (words[:, 1] << np.uint64(32)) | words[:, 0]
 
 
 class QuantizedBuckets:
@@ -58,13 +63,24 @@ class QuantizedBuckets:
         return (self.buckets[:, table, :] + _BUCKET_BIAS).astype(np.uint32)
 
     def table_keys(self, table: int, seed_base: int = 0) -> np.ndarray:
-        """64-bit bucket keys for one table (two Murmur-3 passes).
+        """64-bit bucket keys for one table (two Murmur-3 words).
 
-        Used as dictionary keys in :class:`repro.lsh.LshIndex`.  Key
-        collisions are possible but harmless: index candidates are always
-        re-verified with exact Euclidean distances.
+        Key collisions are possible but harmless: index candidates are
+        always re-verified with exact Euclidean distances.
         """
-        return _bucket_keys(self.table_vectors(table), seed_base + 2 * table)
+        vectors = self.table_vectors(table)[np.newaxis]
+        return _bucket_keys(vectors, [seed_base + 2 * table])[0]
+
+    def all_vectors(self) -> np.ndarray:
+        """:meth:`table_vectors` of every table at once, ``(L, n, M)`` uint32."""
+        return (self.buckets.transpose(1, 0, 2) + _BUCKET_BIAS).astype(np.uint32)
+
+    def all_keys(self) -> np.ndarray:
+        """:meth:`table_keys` of every table in one Murmur-3 pass, ``(L, n)``.
+
+        These are the bucket keys of :class:`repro.lsh.LshIndex`.
+        """
+        return _bucket_keys(self.all_vectors(), 2 * np.arange(self.num_tables))
 
     def perturbed(self, table: int, projection: int, delta: int) -> np.ndarray:
         """One-cell perturbation of a single coordinate (multiprobe)."""
@@ -72,31 +88,31 @@ class QuantizedBuckets:
         vectors[:, projection] += delta
         return (vectors + _BUCKET_BIAS).astype(np.uint32)
 
-    def probe_vectors(
-        self, table: int, projections: np.ndarray, deltas: np.ndarray
-    ) -> np.ndarray:
-        """All multiprobe vectors for one table in a single tensor.
+    def probe_vectors(self, projections: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """All multiprobe vectors of every table in a single tensor.
 
-        ``projections`` and ``deltas`` are ``(n, P)`` per-item perturbation
-        schedules (see :func:`repro.lsh.multiprobe.ranked_perturbations`).
-        Returns ``(n, P + 1, M)`` uint32 vectors: slot 0 is each item's
-        original bucket vector, slot ``j + 1`` its ``j``-th perturbation.
+        ``projections`` and ``deltas`` are ``(L, n, P)`` per-table,
+        per-item perturbation schedules (see
+        :func:`repro.lsh.multiprobe.ranked_perturbations`).  Returns
+        ``(L, n, P + 1, M)`` uint32 vectors: slot 0 is each item's
+        original bucket vector in that table, slot ``j + 1`` its
+        ``j``-th perturbation.
         """
-        base = self.buckets[:, table, :]
-        n, _ = base.shape
-        num_probes = projections.shape[1]
-        probes = np.repeat(base[:, np.newaxis, :], num_probes + 1, axis=1)
+        base = self.buckets.transpose(1, 0, 2)  # (L, n, M)
+        num_tables, n, _ = base.shape
+        num_probes = projections.shape[2]
+        probes = np.repeat(base[:, :, np.newaxis, :], num_probes + 1, axis=2)
         if num_probes:
-            rows = np.arange(n)[:, np.newaxis]
-            slots = np.arange(1, num_probes + 1)[np.newaxis, :]
-            probes[rows, slots, projections] += deltas
+            tables = np.arange(num_tables)[:, np.newaxis, np.newaxis]
+            rows = np.arange(n)[np.newaxis, :, np.newaxis]
+            slots = np.arange(1, num_probes + 1)[np.newaxis, np.newaxis, :]
+            probes[tables, rows, slots, projections] += deltas
         return (probes + _BUCKET_BIAS).astype(np.uint32)
 
-    def probe_keys(
-        self, table: int, projections: np.ndarray, deltas: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`table_keys` of every :meth:`probe_vectors` slot, ``(n, P + 1)``."""
-        probes = self.probe_vectors(table, projections, deltas)
-        num_items, num_slots, num_projections = probes.shape
-        flat = probes.reshape(num_items * num_slots, num_projections)
-        return _bucket_keys(flat, 2 * table).reshape(num_items, num_slots)
+    def probe_keys(self, projections: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """:meth:`all_keys` of every :meth:`probe_vectors` slot, ``(L, n, P + 1)``."""
+        probes = self.probe_vectors(projections, deltas)
+        num_tables, num_items, num_slots, num_projections = probes.shape
+        flat = probes.reshape(num_tables, num_items * num_slots, num_projections)
+        keys = _bucket_keys(flat, 2 * np.arange(num_tables))
+        return keys.reshape(num_tables, num_items, num_slots)

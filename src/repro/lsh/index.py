@@ -16,6 +16,7 @@ larger than the input data" in Fig. 15.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,67 @@ _F64_SLACK = 1e-9
 _RECHECK_CHUNK = 1024
 #: Candidate rows of a probe whose bucket is empty.
 _NO_ROWS = np.empty(0, dtype=np.int32)
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    heads = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+class _SortedTable(NamedTuple):
+    """One hash table's buckets, CSR style.
+
+    ``keys`` are the distinct bucket keys in ascending order; bucket ``b``
+    holds ``rows[offsets[b]:offsets[b + 1]]`` in insertion order.
+    """
+
+    keys: np.ndarray  # (buckets,) uint64
+    offsets: np.ndarray  # (buckets + 1,) int64
+    rows: np.ndarray  # (entries,) int32
+
+    @classmethod
+    def empty(cls) -> "_SortedTable":
+        return cls(
+            np.empty(0, dtype=np.uint64), np.zeros(1, dtype=np.int64), _NO_ROWS
+        )
+
+    def merged(self, keys: np.ndarray, rows: np.ndarray, cap: int) -> "_SortedTable":
+        """This table with ``rows`` (ascending) added under ``keys``.
+
+        Within a bucket the existing rows stay first and the new ones
+        follow in order, up to ``cap`` per bucket, so the first-inserted
+        rows are the ones kept.  One sort of the batch plus one O(N)
+        merge pass over the table.
+        """
+        order = np.argsort(keys, kind="stable")
+        keys, rows = keys[order], rows[order]
+        # Each new entry's rank within its key, against the room its
+        # bucket has left: entries past the cap are dropped.
+        position = np.arange(keys.size)
+        rank = position - np.maximum.accumulate(np.where(_run_heads(keys), position, 0))
+        sizes = np.diff(self.offsets)
+        held = np.zeros(keys.size, dtype=np.int64)
+        if self.keys.size:
+            where = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+            held = np.where(self.keys[where] == keys, sizes[where], 0)
+        keep = rank < cap - held
+        keys, rows = keys[keep], rows[keep]
+        # Merge at entry level: each new entry goes after every existing
+        # entry with a key <= its own, and after the new entries before it.
+        entry_keys = np.repeat(self.keys, sizes)
+        slots = np.searchsorted(entry_keys, keys, side="right") + np.arange(keys.size)
+        is_old = np.ones(entry_keys.size + keys.size, dtype=bool)
+        is_old[slots] = False
+        merged_keys = np.empty(is_old.size, dtype=np.uint64)
+        merged_rows = np.empty(is_old.size, dtype=np.int32)
+        merged_keys[slots], merged_rows[slots] = keys, rows
+        merged_keys[is_old], merged_rows[is_old] = entry_keys, self.rows
+        heads = np.flatnonzero(_run_heads(merged_keys))
+        return _SortedTable(
+            merged_keys[heads], np.append(heads, merged_keys.size), merged_rows
+        )
 
 
 def _screen_margin(norms: np.ndarray, dimension: int) -> np.ndarray:
@@ -102,9 +164,7 @@ class LshIndex:
         # cost, as production E2LSH deployments do.  Dropped entries are
         # precisely the ones the ratio test would reject anyway.
         self.max_bucket_size = int(max_bucket_size)
-        self._tables: list[dict[int, np.ndarray]] = [
-            {} for _ in range(self.params.num_tables)
-        ]
+        self._tables = [_SortedTable.empty() for _ in range(self.params.num_tables)]
         # Amortized-growth row storage: descriptors/ids live in
         # capacity-doubling arrays so :meth:`insert` appends in O(batch)
         # instead of re-copying (and re-hashing) all history per batch.
@@ -122,7 +182,7 @@ class LshIndex:
 
     def build(self, descriptors: np.ndarray, item_ids: np.ndarray) -> None:
         """(Re)build the index over ``descriptors`` with per-row payload ids."""
-        self._tables = [{} for _ in range(self.params.num_tables)]
+        self._tables = [_SortedTable.empty() for _ in range(self.params.num_tables)]
         self._store = None
         self._ids_store = None
         self._norms_store = None
@@ -158,12 +218,16 @@ class LshIndex:
     def insert(self, descriptors: np.ndarray, item_ids: np.ndarray) -> None:
         """Append descriptors incrementally — only the new batch is hashed.
 
-        This is the "incorporated continuously, in constant time and
-        memory" ingest path of the paper: per batch the cost is
-        O(batch · L) hashing plus amortized-O(batch) row storage, versus
-        the quadratic cost of rebuilding over all history each time.
-        Bucket capping keeps first-inserted rows, matching what a
-        one-shot :meth:`build` over the concatenated data produces.
+        Per batch, hashing is O(batch · L) (one Murmur-3 pass over every
+        table) and row storage is amortized O(batch), so history is never
+        re-hashed.  Merging the batch into the sorted-key tables, though,
+        rewrites each table's arrays: O(N · L) copying for an index of
+        N rows.  That is cheap next to hashing for wardrive-sized
+        batches; a stream of tiny inserts into a large index pays it per
+        call.  Within a bucket existing rows stay first and capping keeps
+        the first-inserted rows, so any sequence of inserts gives the
+        tables a one-shot :meth:`build` over the concatenated data
+        produces.
         """
         descriptors = np.asarray(descriptors, dtype=np.float32)
         item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -186,26 +250,21 @@ class LshIndex:
         ).sum(axis=1)
         self._size += num_new
 
-        quantized = QuantizedBuckets(self.projections.quantize(descriptors))
-        cap = self.max_bucket_size
-        for table in range(self.params.num_tables):
-            keys = quantized.table_keys(table)
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-            groups = np.split(order, boundaries)
-            starts = np.concatenate(([0], boundaries))
-            table_map = self._tables[table]
-            for start, group in zip(starts, groups):
-                key = int(sorted_keys[start])
-                rows = (group + start_row).astype(np.int32)
-                existing = table_map.get(key)
-                if existing is None:
-                    table_map[key] = rows[:cap]
-                elif existing.size < cap:
-                    table_map[key] = np.concatenate(
-                        [existing, rows[: cap - existing.size]]
-                    )
+        keys = QuantizedBuckets(self.projections.quantize(descriptors)).all_keys()
+        rows = np.arange(start_row, start_row + num_new, dtype=np.int32)
+        self._tables = [
+            table.merged(table_keys, rows, self.max_bucket_size)
+            for table, table_keys in zip(self._tables, keys)
+        ]
+
+    def _bucket_rows(self, table: int, key: int) -> np.ndarray:
+        """Rows stored under ``key`` in ``table``, in insertion order."""
+        sorted_table = self._tables[table]
+        where = int(np.searchsorted(sorted_table.keys, np.uint64(key)))
+        if where == sorted_table.keys.size or sorted_table.keys[where] != key:
+            return _NO_ROWS
+        offsets = sorted_table.offsets
+        return sorted_table.rows[offsets[where] : offsets[where + 1]]
 
     def query(self, descriptor: np.ndarray, num_neighbors: int = 1) -> list[LshMatch]:
         """Approximate nearest neighbors of one descriptor.
@@ -266,35 +325,43 @@ class LshIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Distinct ``(query, row)`` candidate pairs, sorted by query then row.
 
-        Per table, the multiprobe schedule of the whole batch is ranked
-        and every probe hashed in one pass (the same helpers the oracle
-        uses); only the bucket dictionary lookups run per probe.
+        The multiprobe schedule of the whole batch is ranked and every
+        probe of every table hashed in one pass (the same helpers the
+        oracle uses); each table then resolves all its probe keys with
+        one ``searchsorted`` and expands the matched buckets' row ranges
+        without a Python loop.
         """
         buckets, residuals = self.projections.quantize_with_residuals(descriptors)
-        quantized = QuantizedBuckets(buckets)
-        found: list[np.ndarray] = []
-        for table, table_map in enumerate(self._tables):
-            projections, deltas = ranked_perturbations(
-                residuals[:, table, :], self.max_probes_per_table
-            )
-            keys = quantized.probe_keys(table, projections, deltas)
-            found.extend(table_map.get(key, _NO_ROWS) for key in keys.ravel().tolist())
-        # ``found`` is (table, query, probe)-ordered, one entry per probe.
-        probes_per_query = keys.shape[1]
-        owners = np.tile(
-            np.repeat(np.arange(descriptors.shape[0]), probes_per_query),
-            len(self._tables),
+        projections, deltas = ranked_perturbations(
+            residuals.transpose(1, 0, 2), self.max_probes_per_table
         )
-        lengths = np.fromiter(map(len, found), np.int64, len(found))
-        if not lengths.any():
+        keys = QuantizedBuckets(buckets).probe_keys(projections, deltas)
+        probes_per_query = keys.shape[2]
+        found_queries: list[np.ndarray] = []
+        found_rows: list[np.ndarray] = []
+        for table, table_keys in zip(self._tables, keys):
+            if table.keys.size == 0:
+                continue
+            probe_keys = table_keys.ravel()  # (query, probe) order
+            where = np.searchsorted(table.keys, probe_keys)
+            np.minimum(where, table.keys.size - 1, out=where)
+            hit = np.flatnonzero(table.keys[where] == probe_keys)
+            starts = table.offsets[where[hit]]
+            lengths = table.offsets[where[hit] + 1] - starts
+            total = int(lengths.sum())
+            if total == 0:
+                continue
+            # Entry e of probe h reads rows[starts[h] + e].
+            ends = np.cumsum(lengths)
+            positions = np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+            found_rows.append(table.rows[positions])
+            found_queries.append(np.repeat(hit // probes_per_query, lengths))
+        if not found_rows:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        queries = np.repeat(owners, lengths)
-        codes = np.sort(queries * self._size + np.concatenate(found))
-        distinct = np.empty(codes.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
-        return np.divmod(codes[distinct], self._size)
+        queries = np.concatenate(found_queries)
+        codes = np.sort(queries * self._size + np.concatenate(found_rows))
+        return np.divmod(codes[_run_heads(codes)], self._size)
 
     def _shortlist(
         self,
@@ -348,10 +415,9 @@ class LshIndex:
             for store in (self._store, self._ids_store, self._norms_store)
             if store is not None
         )
-        for table_map in self._tables:
-            # dict overhead approximated by key + pointer per entry.
-            total += len(table_map) * 16
-            total += sum(rows.nbytes for rows in table_map.values())
+        for table in self._tables:
+            # An 8-byte key and an 8-byte offset per bucket, 4 bytes per row.
+            total += table.keys.size * 16 + table.rows.nbytes
         return total
 
     def disk_bytes(self) -> int:

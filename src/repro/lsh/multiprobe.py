@@ -43,31 +43,32 @@ def perturbation_sets(
 def ranked_perturbations(
     residuals: np.ndarray, max_probes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of :func:`perturbation_sets` over ``(n, M)`` residuals.
+    """Batch form of :func:`perturbation_sets` over ``(..., n, M)`` residuals.
 
-    Returns ``(projections, deltas)``, both ``(n, P)`` with
+    Returns ``(projections, deltas)``, both ``(..., n, P)`` with
     ``P = min(max_probes, 2M)``: row ``i`` holds the same
     ``(projection, delta)`` sequence ``perturbation_sets(residuals[i],
     max_probes)`` would produce, in the same order.  The candidate
     layout interleaves ``(p, -1)`` then ``(p, +1)`` per projection and
     the sort is stable, matching the scalar tie-breaking exactly.
+    Leading axes (the LSH tables) rank independently.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.ndim != 2:
-        raise ValueError(f"residuals must be 2-D, got shape {residuals.shape}")
+    if residuals.ndim < 2:
+        raise ValueError(
+            f"residuals must be at least 2-D, got shape {residuals.shape}"
+        )
     if max_probes < 0:
         raise ValueError(f"max_probes must be non-negative, got {max_probes}")
-    n, m = residuals.shape
+    m = residuals.shape[-1]
     num_probes = min(max_probes, 2 * m)
     if num_probes == 0:
-        return (
-            np.empty((n, 0), dtype=np.int64),
-            np.empty((n, 0), dtype=np.int64),
-        )
-    distances = np.empty((n, 2 * m), dtype=np.float64)
-    distances[:, 0::2] = residuals  # (p, -1) candidates
-    distances[:, 1::2] = 1.0 - residuals  # (p, +1) candidates
-    order = np.argsort(distances, axis=1, kind="stable")[:, :num_probes]
+        empty = np.empty(residuals.shape[:-1] + (0,), dtype=np.int64)
+        return empty, empty.copy()
+    distances = np.empty(residuals.shape[:-1] + (2 * m,), dtype=np.float64)
+    distances[..., 0::2] = residuals  # (p, -1) candidates
+    distances[..., 1::2] = 1.0 - residuals  # (p, +1) candidates
+    order = np.argsort(distances, axis=-1, kind="stable")[..., :num_probes]
     projections = order >> 1
     deltas = np.where(order & 1 == 0, -1, +1).astype(np.int64)
     return projections.astype(np.int64), deltas

@@ -1,4 +1,4 @@
-"""The per-descriptor LSH lookup, kept as a parity reference.
+"""The per-descriptor LSH lookup and the dictionary tables, kept as references.
 
 ``LshIndex.query_batch`` once hashed every probe of every descriptor in
 its own small Murmur-3 call, ranked the multiprobe schedule with an inline
@@ -6,17 +6,31 @@ its own small Murmur-3 call, ranked the multiprobe schedule with an inline
 set in float64.  The production lookup now collects the candidate pairs
 of the whole batch at once and re-ranks only a float32 shortlist exactly;
 this module keeps the old code so tests and ``benchmarks/bench_lsh.py``
-can compare the two.  Test-only: nothing under ``src/`` imports it.
+can compare the two.
+
+The index also once kept each table as a ``{key: rows}`` dictionary and
+resolved the batch's probes with one dictionary lookup each, hashing
+table by table; :func:`candidate_pairs_dict_reference` keeps that
+collection step for the sorted-table benchmark row.  Test-only: nothing
+under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.murmur3 import murmur3_32_vectors
-from repro.lsh import LshIndex, LshMatch
+from repro.hashing.murmur3 import murmur3_32_vectors, murmur3_32_vectors_multiseed
+from repro.lsh import LshIndex, LshMatch, QuantizedBuckets
+from repro.lsh.multiprobe import ranked_perturbations
 
-__all__ = ["candidate_rows_reference", "query_batch_reference"]
+__all__ = [
+    "candidate_pairs_dict_reference",
+    "candidate_rows_reference",
+    "dict_tables",
+    "query_batch_reference",
+]
+
+_NO_ROWS = np.empty(0, dtype=np.int32)
 
 
 def candidate_rows_reference(
@@ -47,15 +61,14 @@ def candidate_rows_reference(
                 perturbed = table_buckets.copy()
                 perturbed[np.arange(num_queries), projection] += delta
                 probe_vectors.append(perturbed)
-        table_map = index._tables[table]
         for probe in probe_vectors:
             unsigned = (probe + bias).astype(np.uint32)
             low = murmur3_32_vectors(unsigned, seed=2 * table).astype(np.uint64)
             high = murmur3_32_vectors(unsigned, seed=2 * table + 1).astype(np.uint64)
             keys = (high << np.uint64(32)) | low
             for query_index, key in enumerate(keys):
-                rows = table_map.get(int(key))
-                if rows is not None:
+                rows = index._bucket_rows(table, int(key))
+                if rows.size:
                     per_query[query_index].append(rows)
     return [
         np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.int32)
@@ -89,3 +102,47 @@ def query_batch_reference(
             ]
         )
     return results
+
+
+def dict_tables(index: LshIndex) -> list[dict[int, np.ndarray]]:
+    """The index's buckets as the per-table ``{key: rows}`` dictionaries."""
+    return [
+        {
+            key: table.rows[start:end]
+            for key, start, end in zip(
+                table.keys.tolist(), table.offsets[:-1].tolist(), table.offsets[1:].tolist()
+            )
+        }
+        for table in index._tables
+    ]
+
+
+def candidate_pairs_dict_reference(
+    index: LshIndex, tables: list[dict[int, np.ndarray]], descriptors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``index._candidate_pairs`` over :func:`dict_tables`, one lookup per probe."""
+    buckets, residuals = index.projections.quantize_with_residuals(descriptors)
+    projections, deltas = ranked_perturbations(
+        residuals.transpose(1, 0, 2), index.max_probes_per_table
+    )
+    probes = QuantizedBuckets(buckets).probe_vectors(projections, deltas)
+    _, num_queries, probes_per_query, num_projections = probes.shape
+    found: list[np.ndarray] = []
+    for table, table_map in enumerate(tables):
+        flat = probes[table].reshape(num_queries * probes_per_query, num_projections)
+        low, high = murmur3_32_vectors_multiseed(flat, np.array([2 * table, 2 * table + 1]))
+        keys = (high.astype(np.uint64) << np.uint64(32)) | low.astype(np.uint64)
+        found.extend(table_map.get(key, _NO_ROWS) for key in keys.tolist())
+    # ``found`` is (table, query, probe)-ordered, one entry per probe.
+    owners = np.tile(np.repeat(np.arange(num_queries), probes_per_query), len(tables))
+    lengths = np.fromiter(map(len, found), np.int64, len(found))
+    if not lengths.any():
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    queries = np.repeat(owners, lengths)
+    codes = np.sort(queries * index.size + np.concatenate(found))
+    distinct = np.empty(codes.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+    return np.divmod(codes[distinct], index.size)
+

@@ -20,9 +20,11 @@ from repro.localization import (
 )
 from repro.localization.solver import (
     _angular_residuals,
+    _population_energy,
     _ray_directions,
     _soft_l1_energy,
 )
+from tests.reference.dbscan_reference import dbscan_labels_reference
 from tests.reference.solver_scipy_de import (
     make_problem,
     scalar_objective,
@@ -63,6 +65,55 @@ class TestDbscan:
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             dbscan_labels(np.zeros((3, 3)), eps=0.0)
+
+    def test_shared_border_point_joins_lowest_cluster(self):
+        # Two dense groups 2 apart; the point midway is within eps of one
+        # core of each but has too few neighbours to be a core itself.
+        left = np.array([[0.0, 0, 0], [-0.5, 0, 0], [-0.5, 0.5, 0], [-0.5, -0.5, 0]])
+        right = left * [-1, 1, 1] + [2.0, 0, 0]
+        middle = np.array([[1.0, 0, 0]])
+        for points, border_label in (
+            (np.vstack([left, middle, right]), 0),
+            (np.vstack([right, middle, left]), 0),
+        ):
+            labels = dbscan_labels(points, eps=1.0, min_samples=4)
+            assert labels[4] == border_label
+            np.testing.assert_array_equal(
+                labels, dbscan_labels_reference(points, eps=1.0, min_samples=4)
+            )
+
+    def test_tied_clusters_go_to_the_lowest_label(self):
+        near = np.zeros((5, 3))
+        far = np.full((5, 3), 10.0)
+        kept = largest_cluster(np.vstack([far, near]), eps=1.0, min_samples=3)
+        np.testing.assert_array_equal(kept, np.arange(5))
+
+    @given(
+        seed=st.integers(0, 2**16),
+        count=st.integers(0, 60),
+        layout=st.sampled_from(["uniform", "lattice", "duplicates", "blobs"]),
+        eps=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+        min_samples=st.integers(1, 7),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_labels_equal_breadth_first_reference(
+        self, seed, count, layout, eps, min_samples
+    ):
+        """Lattices put points exactly eps apart; duplicates sit at distance 0."""
+        rng = np.random.default_rng(seed)
+        if layout == "uniform":
+            points = rng.uniform(0, 6, (count, 3))
+        elif layout == "lattice":
+            points = rng.integers(0, 4, (count, 3)).astype(np.float64) * 0.5
+        elif layout == "duplicates":
+            points = rng.uniform(0, 4, (count // 3 + 1, 3)).repeat(3, axis=0)[:count]
+        else:
+            centers = rng.uniform(0, 12, (3, 3))
+            points = centers[rng.integers(0, 3, count)] + rng.normal(0, 0.6, (count, 3))
+        labels = dbscan_labels(points, eps=eps, min_samples=min_samples)
+        np.testing.assert_array_equal(
+            labels, dbscan_labels_reference(points, eps=eps, min_samples=min_samples)
+        )
 
 
 class TestAngularLocalizer:
@@ -157,6 +208,62 @@ class TestScipyDeParity:
         np.testing.assert_allclose(
             residuals(population[0]), scalar_residuals(population[0]), rtol=1e-12
         )
+
+    def test_gram_energy_matches_direct_form(self):
+        rng = np.random.default_rng(3)
+        problem = make_problem(Pose(x=9.0, y=7.0, z=1.5, yaw=1.1), 25, rng)
+        pairs = AngularLocalizer()._select_pairs(problem.num_points, rng)
+        rays = _ray_directions(problem.pixels, problem.intrinsics)
+        residuals = _angular_residuals(problem.world_points, rays, pairs)
+        energy = _population_energy(problem.world_points, rays, pairs)
+        population = rng.uniform(problem.bounds_low, problem.bounds_high, (60, 3))
+        np.testing.assert_allclose(
+            energy(population), _soft_l1_energy(residuals(population)), rtol=1e-12
+        )
+        # Near the solution each term's 1 + r^2 rounds at about one ulp of
+        # 1 in both forms, so they agree to that floor, not relatively.
+        near = Pose(x=9.0, y=7.0, z=1.5).position + rng.normal(0, 0.05, (20, 3))
+        np.testing.assert_allclose(
+            energy(near),
+            _soft_l1_energy(residuals(near)),
+            rtol=1e-12,
+            atol=2 * pairs.shape[0] * np.finfo(np.float64).eps,
+        )
+
+    def test_gram_energy_finite_on_a_world_point(self):
+        rng = np.random.default_rng(5)
+        problem = make_problem(Pose(x=6.0, y=9.0, z=1.5, yaw=-0.4), 20, rng)
+        pairs = AngularLocalizer()._select_pairs(problem.num_points, rng)
+        rays = _ray_directions(problem.pixels, problem.intrinsics)
+        energy = _population_energy(problem.world_points, rays, pairs)
+        members = np.vstack(
+            [problem.world_points[pairs[0, 0]], problem.world_points[pairs[:4, 1]]]
+        )
+        assert np.isfinite(energy(members)).all()
+
+    def test_evolve_bit_identical_to_direct_form(self):
+        localizer = AngularLocalizer(seed=0)
+        for problem, _ in seeded_problems(40, 25):
+            rng = np.random.default_rng(localizer.seed)
+            pairs = localizer._select_pairs(problem.num_points, rng)
+            rays = _ray_directions(problem.pixels, problem.intrinsics)
+            residuals = _angular_residuals(problem.world_points, rays, pairs)
+            state = rng.bit_generator.state
+            direct = localizer._evolve(
+                lambda members: _soft_l1_energy(residuals(members)),
+                problem.bounds_low,
+                problem.bounds_high,
+                rng,
+            )
+            rng.bit_generator.state = state
+            gram = localizer._evolve(
+                _population_energy(problem.world_points, rays, pairs),
+                problem.bounds_low,
+                problem.bounds_high,
+                rng,
+            )
+            assert gram[0].tobytes() == direct[0].tobytes()
+            assert gram[1] == direct[1]
 
     def test_clean_problems_match_reference(self):
         localizer = AngularLocalizer(seed=0)

@@ -172,8 +172,12 @@ class TestLshIndex:
         duplicated = np.tile(rng.integers(0, 255, 128).astype(np.float32), (500, 1))
         idx = LshIndex(E2LSHParams(num_tables=2), max_bucket_size=32)
         idx.build(duplicated, np.arange(500))
-        for table in idx._tables:
-            assert all(len(rows) <= 32 for rows in table.values())
+        keys = QuantizedBuckets(idx.projections.quantize(duplicated)).all_keys()
+        for table, table_keys in enumerate(keys):
+            assert all(
+                len(idx._bucket_rows(table, int(key))) <= 32
+                for key in np.unique(table_keys)
+            )
 
     def test_payload_ids_returned(self, descriptors_1k):
         idx = LshIndex(E2LSHParams(num_tables=4), seed=2)
@@ -291,6 +295,43 @@ class TestBatchedLookup:
             assert len({m.distance for m in matches}) == 1
             assert [m.item_id for m in index.query(query, 2)] == list(1000 - copies[:2])
 
+    @pytest.mark.parametrize("cap", [3, 512])
+    def test_incremental_insert_equals_build(self, database, cap):
+        """Batches merged into the sorted tables give the tables of one build.
+
+        The repeated and jittered rows share buckets, so at ``cap=3`` the
+        cap drops rows, and it must keep the first-inserted ones.
+        """
+        ids = np.arange(database.shape[0]) * 5 + 2
+        built = LshIndex(seed=6, max_probes_per_table=2, max_bucket_size=cap)
+        built.build(database, ids)
+        incremental = LshIndex(seed=6, max_probes_per_table=2, max_bucket_size=cap)
+        for chunk in np.array_split(np.arange(database.shape[0]), [1, 250, 251, 900]):
+            incremental.insert(database[chunk], ids[chunk])
+        for ours, theirs in zip(incremental._tables, built._tables):
+            for ours_part, theirs_part in zip(ours, theirs):
+                np.testing.assert_array_equal(ours_part, theirs_part)
+        if cap == 3:
+            assert max(np.diff(table.offsets).max() for table in built._tables) == 3
+        queries = np.vstack(
+            [_noisy_queries(database, 40, sigma=2.0, seed=3), database[:10]]
+        )
+        assert incremental.query_batch(queries, 3) == built.query_batch(queries, 3)
+        assert incremental.query_batch(queries, 3) == _brute_force_topk(
+            incremental, queries, 3
+        )
+        assert incremental.memory_bytes() == built.memory_bytes()
+
+    def test_bucket_rows_keep_insertion_order(self):
+        duplicated = np.tile(np.arange(128, dtype=np.float32), (10, 1))
+        index = LshIndex(E2LSHParams(num_tables=2), max_bucket_size=6)
+        for chunk in (slice(0, 4), slice(4, 5), slice(5, 10)):
+            index.insert(duplicated[chunk], np.arange(10)[chunk])
+        quantized = QuantizedBuckets(index.projections.quantize(duplicated[:1]))
+        key = int(quantized.all_keys()[1, 0])
+        np.testing.assert_array_equal(index._bucket_rows(1, key), np.arange(6))
+        assert index._bucket_rows(1, key ^ 1).size == 0
+
     def test_empty_batch(self, index_1k):
         assert index_1k.query_batch(np.empty((0, 128), np.float32), 2) == []
 
@@ -300,10 +341,15 @@ class TestBatchedLookup:
             index_1k.query(np.full(128, 1e9, dtype=np.float32))
 
     def test_memory_counts_norm_cache(self, index_1k):
-        bucket_bytes = sum(
-            len(table) * 16 + sum(rows.nbytes for rows in table.values())
-            for table in index_1k._tables
-        )
+        # 8-byte key + 8-byte offset per bucket, a 4-byte row per entry.
+        keys = QuantizedBuckets(
+            index_1k.projections.quantize(index_1k._store[: index_1k.size])
+        ).all_keys()
+        bucket_bytes = 0
+        for table_keys in keys:
+            _, sizes = np.unique(table_keys, return_counts=True)
+            held = np.minimum(sizes, index_1k.max_bucket_size)
+            bucket_bytes += sizes.size * 16 + int(held.sum()) * 4
         per_row = 128 * 4 + 8 + 8  # descriptor, payload id, squared norm
         assert index_1k.memory_bytes() == bucket_bytes + index_1k.size * per_row
 

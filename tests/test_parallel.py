@@ -23,6 +23,7 @@ from repro.lsh.multiprobe import perturbation_sets, ranked_perturbations
 from repro.obs import MetricsRegistry, resolve_registry, use_registry
 from repro.parallel import default_workers, get_shared, parallel_map, shard_seeds
 from repro.util.rng import rng_for
+from tests.reference.oracle_reference import lookup_batch_reference
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +222,23 @@ def lookup_queries(trained_oracle) -> np.ndarray:
 class TestVectorizedLookup:
     def test_matches_scalar_reference(self, trained_oracle, lookup_queries):
         vectorized = trained_oracle.lookup_batch(lookup_queries)
-        scalar = trained_oracle._lookup_batch_scalar(lookup_queries)
+        scalar = lookup_batch_reference(trained_oracle, lookup_queries)
         assert vectorized == scalar
 
     def test_matches_scalar_metrics(self, lookup_queries):
-        def run(method: str) -> dict:
+        def run(lookup) -> dict:
             registry = MetricsRegistry()
             oracle = UniquenessOracle(VisualPrintConfig(), registry=registry)
             database = rng_for(21, "lookup-db").normal(0, 30, size=(3000, 128))
             oracle.insert(database.astype(np.float32))
-            getattr(oracle, method)(lookup_queries)
+            lookup(oracle, lookup_queries)
             return {
                 inst["name"]: inst["state"]["value"]
                 for inst in registry.state()["instruments"]
                 if inst["kind"] == "counter"
             }
 
-        assert run("lookup_batch") == run("_lookup_batch_scalar")
+        assert run(UniquenessOracle.lookup_batch) == run(lookup_batch_reference)
 
     def test_single_row_lookup_wrapper(self, trained_oracle, lookup_queries):
         row = lookup_queries[0]
@@ -254,9 +255,9 @@ class TestVectorizedLookup:
     )
     @settings(max_examples=25, deadline=None)
     def test_property_vectorized_equals_scalar(self, trained_oracle, descriptors):
-        assert trained_oracle.lookup_batch(
-            descriptors
-        ) == trained_oracle._lookup_batch_scalar(descriptors)
+        assert trained_oracle.lookup_batch(descriptors) == lookup_batch_reference(
+            trained_oracle, descriptors
+        )
 
     @given(
         arrays(

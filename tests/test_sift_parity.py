@@ -38,10 +38,12 @@ from repro.features.serialize import (
     serialized_size,
 )
 from repro.features.sift import SiftExtractor, SiftParams
+from repro.hashing.families import Murmur3Family, stacked_indices
 from repro.hashing.murmur3 import murmur3_32_vectors, murmur3_32_vectors_multiseed
 from repro.imaging import value_noise_texture
 from repro.obs import MetricsRegistry
 from repro.util.rng import rng_for
+from tests.reference.oracle_reference import indices_reference
 
 
 def textured(height: int, width: int, seed: int) -> np.ndarray:
@@ -266,3 +268,56 @@ class TestMultiseedMurmur:
             [murmur3_32_vectors(blocks, int(s)) for s in seeds], axis=0
         )
         np.testing.assert_array_equal(batched, looped)
+
+    @given(
+        tables=st.integers(1, 6),
+        rows=st.integers(0, 12),
+        dims=st.integers(1, 9),
+        hashes=st.integers(1, 5),
+        seed=st.integers(0, 30),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_all_tables_pass_matches_per_table_calls(
+        self, tables, rows, dims, hashes, seed
+    ):
+        rng = rng_for(seed, "murmur-tables")
+        blocks = rng.integers(0, 2**32, (tables, rows, dims), dtype=np.uint32)
+        seeds = rng.integers(0, 2**33, (tables, hashes))
+        stacked = murmur3_32_vectors_multiseed(blocks, seeds)
+        assert stacked.shape == (tables, hashes, rows)
+        for table in range(tables):
+            np.testing.assert_array_equal(
+                stacked[table], murmur3_32_vectors_multiseed(blocks[table], seeds[table])
+            )
+
+    def test_stacked_family_indices_match_per_family(self):
+        rng = rng_for(4, "murmur-families")
+        families = [
+            Murmur3Family(num_hashes=4, table_size=1_000_003, base_seed=1000 + 4 * t)
+            for t in range(10)
+        ]
+        vectors = rng.integers(0, 2**21, (10, 37, 7), dtype=np.uint32)
+        stacked = stacked_indices(families, vectors)
+        for table, family in enumerate(families):
+            expected = indices_reference(family, vectors[table])
+            np.testing.assert_array_equal(stacked[table], expected)
+            np.testing.assert_array_equal(family.indices(vectors[table]), expected)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 1, 7), (3, 1, 1), (2, 5, 7)])
+    def test_input_blocks_left_unchanged(self, shape):
+        # A single row's word-major view is already contiguous; hashing
+        # must still work on a copy of it.
+        blocks = rng_for(9, "murmur-input").integers(0, 2**32, shape, dtype=np.uint32)
+        before = blocks.copy()
+        seeds = np.arange(4 * shape[0]).reshape(shape[0], 4)
+        if blocks.ndim == 2:
+            seeds = np.arange(4)
+        first = murmur3_32_vectors_multiseed(blocks, seeds)
+        np.testing.assert_array_equal(blocks, before)
+        np.testing.assert_array_equal(murmur3_32_vectors_multiseed(blocks, seeds), first)
+
+    def test_seed_shape_mismatch_rejected(self):
+        blocks = np.zeros((3, 2, 4), dtype=np.uint32)
+        with pytest.raises(ValueError):
+            murmur3_32_vectors_multiseed(blocks, np.zeros((2, 4), dtype=np.int64))
+
